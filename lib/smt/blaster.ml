@@ -125,7 +125,7 @@ let create ?seed ?default_phase ?restart_base ?graph () =
   g.session_ctr <- g.session_ctr + 1;
   let sat = Sat.create ?seed ?default_phase ?restart_base () in
   let v = Sat.new_var sat in
-  Sat.add_clause sat [ Sat.pos v ];
+  Sat.add_unit sat (Sat.pos v);
   ensure_scratch g;
   let sid = g.session_ctr in
   g.e_lit.(0) <- Sat.pos v;
@@ -461,28 +461,28 @@ and lit_of_node t id =
         let la = lit_of_ref t a in
         let lb = lit_of_ref t b in
         let o = fresh t in
-        Sat.add_clause t.sat [ Sat.negate o; la ];
-        Sat.add_clause t.sat [ Sat.negate o; lb ];
-        Sat.add_clause t.sat [ o; Sat.negate la; Sat.negate lb ];
+        Sat.add_binary t.sat (Sat.negate o) la;
+        Sat.add_binary t.sat (Sat.negate o) lb;
+        Sat.add_ternary t.sat o (Sat.negate la) (Sat.negate lb);
         o
       | N_xor (a, b) ->
         let la = lit_of_ref t a in
         let lb = lit_of_ref t b in
         let o = fresh t in
-        Sat.add_clause t.sat [ Sat.negate o; la; lb ];
-        Sat.add_clause t.sat [ Sat.negate o; Sat.negate la; Sat.negate lb ];
-        Sat.add_clause t.sat [ o; Sat.negate la; lb ];
-        Sat.add_clause t.sat [ o; la; Sat.negate lb ];
+        Sat.add_ternary t.sat (Sat.negate o) la lb;
+        Sat.add_ternary t.sat (Sat.negate o) (Sat.negate la) (Sat.negate lb);
+        Sat.add_ternary t.sat o (Sat.negate la) lb;
+        Sat.add_ternary t.sat o la (Sat.negate lb);
         o
       | N_ite (c, a, b) ->
         let lc = lit_of_ref t c in
         let la = lit_of_ref t a in
         let lb = lit_of_ref t b in
         let o = fresh t in
-        Sat.add_clause t.sat [ Sat.negate lc; Sat.negate la; o ];
-        Sat.add_clause t.sat [ Sat.negate lc; la; Sat.negate o ];
-        Sat.add_clause t.sat [ lc; Sat.negate lb; o ];
-        Sat.add_clause t.sat [ lc; lb; Sat.negate o ];
+        Sat.add_ternary t.sat (Sat.negate lc) (Sat.negate la) o;
+        Sat.add_ternary t.sat (Sat.negate lc) la (Sat.negate o);
+        Sat.add_ternary t.sat lc (Sat.negate lb) o;
+        Sat.add_ternary t.sat lc lb (Sat.negate o);
         o
     in
     t.g.e_lit.(id) <- l;
@@ -504,8 +504,7 @@ let assert_term t term =
   Scamv_util.Deadline.poll ();
   let r = blast_bool t term in
   ensure_scratch t.g;
-  let l = lit_of_ref t r in
-  Sat.add_clause t.sat [ l ]
+  Sat.add_unit t.sat (lit_of_ref t r)
 
 let bool_literal t term =
   (match Term.sort_of term with
@@ -538,18 +537,24 @@ let inputs t =
   Hashtbl.fold (fun name (sort, lits) acc -> (name, sort, lits) :: acc) t.inputs []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
+(* The one blocking-clause writer behind [block_assignment] and
+   [block_values]: each bit of each tracked input contributes its literal,
+   negated iff [holds key lits i] says bit [i] of input [key] currently
+   holds, staged straight into the solver's clause buffer. *)
+let add_blocking_clause t vars holds =
+  Sat.begin_clause t.sat;
+  List.iter
+    (fun key ->
+      let lits = input_literals t key in
+      for i = 0 to Array.length lits - 1 do
+        let l = lits.(i) in
+        Sat.add_lit t.sat (if holds key lits i then Sat.negate l else l)
+      done)
+    vars;
+  Sat.commit_clause t.sat
+
 let block_assignment t vars =
-  let clause =
-    List.concat_map
-      (fun key ->
-        let lits = input_literals t key in
-        Array.to_list
-          (Array.map
-             (fun l -> if lit_model_value t l then Sat.negate l else l)
-             lits))
-      vars
-  in
-  Sat.add_clause t.sat clause
+  add_blocking_clause t vars (fun _ lits i -> lit_model_value t lits.(i))
 
 let block_values t vars model =
   (* Like {!block_assignment}, but against an explicit valuation instead
@@ -557,18 +562,8 @@ let block_values t vars model =
      session's blocking clauses into this one (portfolio rescue).
      Variables the model does not bind default to false/zero, matching
      what [read_model] reports for never-decided inputs. *)
-  let clause =
-    List.concat_map
-      (fun ((name, sort) as key) ->
-        let lits = input_literals t key in
-        match sort with
-        | Sort.Bool ->
-          [ (if Model.bool_exn model name then Sat.negate lits.(0) else lits.(0)) ]
-        | Sort.Bv _ ->
-          let v = Model.bv_exn model name in
-          Array.to_list
-            (Array.mapi (fun i l -> if Bits.bit v i then Sat.negate l else l) lits)
-        | Sort.Mem -> [])
-      vars
-  in
-  Sat.add_clause t.sat clause
+  add_blocking_clause t vars (fun (name, sort) _ i ->
+      match sort with
+      | Sort.Bool -> Model.bool_exn model name
+      | Sort.Bv _ -> Bits.bit (Model.bv_exn model name) i
+      | Sort.Mem -> false)

@@ -76,6 +76,10 @@ type t = {
      [pop] retires one with a permanent unit. *)
   mutable scope_lits : int array;
   mutable n_scopes : int;
+  (* Clause-intake buffer: every added clause is staged here, normalized
+     in place and blitted into the arena, so intake allocates nothing. *)
+  mutable cbuf : int array;
+  mutable cbuf_n : int;
   (* Effective-assumption scratch (selectors ++ caller assumptions) and a
      copy of the previous query's sequence, enabling assumption-trail
      reuse: the longest shared prefix of decision levels survives between
@@ -99,6 +103,9 @@ type t = {
       (* ascending-id decision cursor over zero-activity variables: every
          unassigned zero-activity variable has id >= next_zero *)
   mutable seen : bool array;  (* scratch for conflict analysis *)
+  mutable touched : int array;  (* variables [analyze] marked in [seen] *)
+  mutable learnt_buf : int array;  (* the clause [analyze] derives ... *)
+  mutable learnt_n : int;  (* ... is [learnt_buf.(0 .. learnt_n-1)] *)
   mutable level_stamp : int array;  (* scratch for LBD computation *)
   mutable stamp : int;
   (* LBD histogram (clamped at [lbd_buckets - 1]) with a flush watermark,
@@ -149,6 +156,8 @@ let create ?seed ?(default_phase = false) ?(restart_base = 100) () =
     simp_trail = 0;
     scope_lits = Array.make 4 0;
     n_scopes = 0;
+    cbuf = Array.make 16 0;
+    cbuf_n = 0;
     eff = Array.make 16 0;
     prev_assum = Array.make 16 0;
     n_prev = 0;
@@ -162,6 +171,9 @@ let create ?seed ?(default_phase = false) ?(restart_base = 100) () =
     heap_pos = Array.make cap (-1);
     next_zero = 1;
     seen = Array.make cap false;
+    touched = Array.make cap 0;
+    learnt_buf = Array.make cap 0;
+    learnt_n = 0;
     level_stamp = Array.make cap 0;
     stamp = 0;
     lbd_hist = Array.make lbd_buckets 0;
@@ -169,6 +181,7 @@ let create ?seed ?(default_phase = false) ?(restart_base = 100) () =
   }
 
 let num_vars t = t.nvars
+let num_clauses t = t.n_clauses
 let stats_conflicts t = t.conflicts
 let stats_decisions t = t.decisions
 let stats_propagations t = t.propagations
@@ -212,6 +225,8 @@ let ensure_var_cap t n =
   t.heap <- grow_arr t.heap (n + 1) 0;
   t.heap_pos <- grow_arr t.heap_pos (n + 1) (-1);
   t.seen <- grow_arr t.seen (n + 1) false;
+  t.touched <- grow_arr t.touched (n + 1) 0;
+  t.learnt_buf <- grow_arr t.learnt_buf (n + 2) 0;
   t.level_stamp <- grow_arr t.level_stamp (n + 2) 0
 
 (* ---- order heap ---- *)
@@ -387,9 +402,9 @@ let push_cref arr n c =
   arr.(n) <- c;
   arr
 
-(* Allocate a clause from an array of literals; attaches nothing. *)
-let alloc_clause t ~learned lits =
-  let n = Array.length lits in
+(* Allocate a clause from the first [n] literals of [lits]; attaches
+   nothing. *)
+let alloc_clause t ~learned lits n =
   let extra = if learned then 2 else 0 in
   let c = ca_alloc t (1 + extra + n) in
   t.ca.(c) <- (n lsl 2) lor (if learned then 2 else 0);
@@ -487,32 +502,101 @@ let propagate t : cref =
   done;
   !conflict
 
-let add_clause_raw t lits =
-  (* Normalize against root (level-0) assignments only, so clauses can be
-     added at any decision level: a model-blocking clause asserted between
-     enumeration draws rewinds the trail just past its two deepest
-     falsified literals instead of to the root, and the next solve resumes
-     the search descent instead of rebuilding it. *)
+(* ---- clause intake ----
+
+   Every clause enters through one solver-owned buffer [cbuf]: callers
+   stage literals into it, and [intake] sorts, deduplicates and filters
+   them in place before blitting the survivors into the arena.  The
+   arena receives the literals sorted ascending, duplicate-free and
+   root-filtered, so the CNF does not depend on the order or entry point
+   a clause was staged through — and staging allocates nothing. *)
+
+let insertion_sort (a : int array) n =
+  for i = 1 to n - 1 do
+    let x = a.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && a.(!j) > x do
+      a.(!j + 1) <- a.(!j);
+      decr j
+    done;
+    a.(!j + 1) <- x
+  done
+
+let rec sift_down (a : int array) root limit =
+  let child = (2 * root) + 1 in
+  if child < limit then begin
+    let child =
+      if child + 1 < limit && a.(child + 1) > a.(child) then child + 1 else child
+    in
+    if a.(child) > a.(root) then begin
+      let tmp = a.(root) in
+      a.(root) <- a.(child);
+      a.(child) <- tmp;
+      sift_down a child limit
+    end
+  end
+
+(* Ascending in-place sort of [a.(0 .. n-1)]: insertion sort for the short
+   Tseitin clauses, heapsort (O(n log n) worst case, still in place) for
+   long ones — a model-blocking clause has one literal per tracked input
+   bit, thousands of them. *)
+let sort_lits a n =
+  if n <= 16 then insertion_sort a n
+  else begin
+    for i = (n / 2) - 1 downto 0 do
+      sift_down a i n
+    done;
+    for last = n - 1 downto 1 do
+      let tmp = a.(0) in
+      a.(0) <- a.(last);
+      a.(last) <- tmp;
+      sift_down a 0 last
+    done
+  end
+
+let root_lit t l =
+  let a = root_value t (l lsr 1) in
+  if a = 0 then 0 else if l land 1 = 0 then a else -a
+
+(* Add the staged clause [cbuf.(0 .. cbuf_n-1)] (unguarded) and empty the
+   buffer.  Normalize against root (level-0) assignments only, so clauses
+   can be added at any decision level: a model-blocking clause asserted
+   between enumeration draws rewinds the trail just past its two deepest
+   falsified literals instead of to the root, and the next solve resumes
+   the search descent instead of rebuilding it. *)
+let intake t =
+  let arr = t.cbuf in
+  let len = t.cbuf_n in
+  t.cbuf_n <- 0;
   if not t.unsat then begin
-    let lits = List.sort_uniq compare lits in
-    (* After sorting, the two literals of one variable are adjacent. *)
-    let rec has_adjacent_negation = function
-      | a :: (b :: _ as rest) -> b = a + 1 && a land 1 = 0 || has_adjacent_negation rest
-      | _ -> false
-    in
-    let root_lit l =
-      let a = root_value t (l lsr 1) in
-      if a = 0 then 0 else if l land 1 = 0 then a else -a
-    in
-    let tautology =
-      has_adjacent_negation lits || List.exists (fun l -> root_lit l = 1) lits
-    in
-    if not tautology then begin
-      let lits = List.filter (fun l -> root_lit l <> -1) lits in
-      match lits with
-      | [] -> t.unsat <- true
-      | [ l ] -> (
+    sort_lits arr len;
+    (* One pass over the sorted literals: drop duplicates and root-false
+       literals, compacting in place.  A literal true at the root, or the
+       two literals of one variable (adjacent after sorting), make the
+       clause a tautology. *)
+    let n = ref 0 and prev = ref (-1) and tautology = ref false and i = ref 0 in
+    while (not !tautology) && !i < len do
+      let l = arr.(!i) in
+      if l <> !prev then begin
+        if l = negate !prev then tautology := true
+        else begin
+          match root_lit t l with
+          | 1 -> tautology := true
+          | 0 ->
+            arr.(!n) <- l;
+            incr n
+          | _ -> ()
+        end;
+        prev := l
+      end;
+      incr i
+    done;
+    if not !tautology then begin
+      let n = !n in
+      if n = 0 then t.unsat <- true
+      else if n = 1 then begin
         (* Units must enter the root trail: rewind and propagate. *)
+        let l = arr.(0) in
         cancel_until t 0;
         ignore (propagate t);
         match lit_value t l with
@@ -520,10 +604,9 @@ let add_clause_raw t lits =
         | -1 -> t.unsat <- true
         | _ ->
           enqueue t l cr_null;
-          if propagate t <> cr_null then t.unsat <- true)
-      | _ :: _ :: _ ->
-        let arr = Array.of_list lits in
-        let n = Array.length arr in
+          if propagate t <> cr_null then t.unsat <- true
+      end
+      else begin
         (* The watch invariant needs two non-falsified literals: if the
            current assignment leaves fewer, rewind past the deepest
            falsifying levels (their literals survived the root filter, so
@@ -558,19 +641,50 @@ let add_clause_raw t lits =
           end;
           incr i
         done;
-        let c = alloc_clause t ~learned:false arr in
+        let c = alloc_clause t ~learned:false arr n in
         attach_clause t c;
         t.clauses <- push_cref t.clauses t.n_clauses c;
         t.n_clauses <- t.n_clauses + 1
+      end
     end
   end
+
+let begin_clause t = t.cbuf_n <- 0
+
+let add_lit t l =
+  if t.cbuf_n = Array.length t.cbuf then t.cbuf <- grow_arr t.cbuf (t.cbuf_n + 1) 0;
+  t.cbuf.(t.cbuf_n) <- l;
+  t.cbuf_n <- t.cbuf_n + 1
 
 (* Clauses added under an open scope carry the innermost selector's
    negation as a guard: they only bite while [solve] assumes the selector,
    and [pop]'s permanent unit satisfies them all at once. *)
+let commit_clause t =
+  if t.n_scopes > 0 then add_lit t (negate t.scope_lits.(t.n_scopes - 1));
+  intake t
+
+let add_unit t a =
+  begin_clause t;
+  add_lit t a;
+  commit_clause t
+
+let add_binary t a b =
+  begin_clause t;
+  add_lit t a;
+  add_lit t b;
+  commit_clause t
+
+let add_ternary t a b c =
+  begin_clause t;
+  add_lit t a;
+  add_lit t b;
+  add_lit t c;
+  commit_clause t
+
 let add_clause t lits =
-  if t.n_scopes = 0 then add_clause_raw t lits
-  else add_clause_raw t (negate t.scope_lits.(t.n_scopes - 1) :: lits)
+  begin_clause t;
+  List.iter (add_lit t) lits;
+  commit_clause t
 
 let push t =
   let s = pos (new_var t) in
@@ -587,17 +701,23 @@ let pop t =
      guarded by [s] is satisfied from here on and stripped by the next
      root-level simplification; learnt clauses mentioning [negate s] stay
      sound because the unit subsumes that literal. *)
-  add_clause_raw t [ negate s ];
+  begin_clause t;
+  add_lit t (negate s);
+  intake t;
   Scamv_telemetry.Collector.incr "sat.pops"
 
 let num_scopes t = t.n_scopes
 
 (* ---- conflict analysis (first UIP) ---- *)
 
+(* First-UIP analysis.  Derives the learnt clause into [learnt_buf]
+   (asserting literal first, then the other literals newest-encountered
+   first) and returns the backtrack level.  Scratch arrays are sized with
+   the variables, so analysis allocates nothing. *)
 let analyze t confl =
-  let learnt = ref [] in
   let seen = t.seen in
-  let touched = ref [] in
+  let n_touched = ref 0 in
+  let n = ref 1 (* slot 0 is reserved for the asserting literal *) in
   let counter = ref 0 in
   let p = ref 0 in
   (* 0 encodes "undefined" before the first iteration *)
@@ -620,11 +740,13 @@ let analyze t confl =
         let v = var_of q in
         if (not seen.(v)) && t.level.(v) > 0 then begin
           seen.(v) <- true;
-          touched := v :: !touched;
+          t.touched.(!n_touched) <- v;
+          incr n_touched;
           var_bump t v;
           if t.level.(v) >= decision_level t then incr counter
           else begin
-            learnt := q :: !learnt;
+            t.learnt_buf.(!n) <- q;
+            incr n;
             if t.level.(v) > !btlevel then btlevel := t.level.(v)
           end
         end
@@ -632,8 +754,9 @@ let analyze t confl =
     end;
     first := false;
     (* Select next literal to look at (walk trail backwards). *)
-    let rec next_seen i = if seen.(var_of t.trail.(i)) then i else next_seen (i - 1) in
-    idx := next_seen !idx;
+    while not seen.(var_of t.trail.(!idx)) do
+      decr idx
+    done;
     p := t.trail.(!idx);
     let v = var_of !p in
     confl := t.reason.(v);
@@ -642,24 +765,36 @@ let analyze t confl =
     decr counter;
     if !counter = 0 then continue_loop := false
   done;
-  List.iter (fun v -> seen.(v) <- false) !touched;
-  (negate !p :: !learnt, !btlevel)
+  for i = 0 to !n_touched - 1 do
+    seen.(t.touched.(i)) <- false
+  done;
+  let lits = t.learnt_buf in
+  let lo = ref 1 and hi = ref (!n - 1) in
+  while !lo < !hi do
+    let tmp = lits.(!lo) in
+    lits.(!lo) <- lits.(!hi);
+    lits.(!hi) <- tmp;
+    incr lo;
+    decr hi
+  done;
+  lits.(0) <- negate !p;
+  t.learnt_n <- !n;
+  !btlevel
 
 (* Literal-blocks-distance: number of distinct decision levels among the
-   literals of a learnt clause (Audemard & Simon).  Low-LBD ("glue")
+   first [n] literals of [lits] (Audemard & Simon).  Low-LBD ("glue")
    clauses are the ones clause-DB reduction must keep. *)
-let compute_lbd t lits =
+let compute_lbd t lits n =
   t.stamp <- t.stamp + 1;
   let stamp = t.stamp in
   let lbd = ref 0 in
-  Array.iter
-    (fun l ->
-      let lvl = t.level.(var_of l) in
-      if lvl > 0 && t.level_stamp.(lvl) <> stamp then begin
-        t.level_stamp.(lvl) <- stamp;
-        incr lbd
-      end)
-    lits;
+  for i = 0 to n - 1 do
+    let lvl = t.level.(var_of lits.(i)) in
+    if lvl > 0 && t.level_stamp.(lvl) <> stamp then begin
+      t.level_stamp.(lvl) <- stamp;
+      incr lbd
+    end
+  done;
   !lbd
 
 (* ---- clause DB reduction ---- *)
@@ -808,17 +943,34 @@ let simplify t =
    cursor that [solve] rewinds per query and [cancel_until] rewinds on
    backtracking.  This keeps a decision O(1) amortised instead of heap
    pops through thousands of propagation-assigned variables, which
-   dominated solve time in the enumeration workload. *)
+   dominated solve time in the enumeration workload.  The helpers below
+   are top-level functions rather than local closures, so a decision
+   allocates nothing unless it draws from the RNG. *)
+let random_pick t =
+  if t.heap_size = 0 then -1
+  else begin
+    let i, rng = Scamv_util.Splitmix.int t.rng t.heap_size in
+    t.rng <- rng;
+    let v = t.heap.(i) in
+    if t.assign.(v) = 0 then v else -1
+  end
+
+let rec pop_unassigned t =
+  if t.heap_size = 0 then -1
+  else begin
+    let v = heap_pop t in
+    if t.assign.(v) = 0 then v else pop_unassigned t
+  end
+
+let rec scan_zero t z =
+  if z > t.nvars then -1
+  else if t.assign.(z) = 0 && t.activity.(z) = 0.0 then begin
+    t.next_zero <- z + 1;
+    z
+  end
+  else scan_zero t (z + 1)
+
 let pick_branch_var t =
-  let random_pick () =
-    if t.heap_size = 0 then -1
-    else begin
-      let i, rng = Scamv_util.Splitmix.int t.rng t.heap_size in
-      t.rng <- rng;
-      let v = t.heap.(i) in
-      if t.assign.(v) = 0 then v else -1
-    end
-  in
   let v =
     if t.random_branch_freq > 0.0 then
       if t.rnd_countdown > 0 then begin
@@ -834,33 +986,17 @@ let pick_branch_var t =
           int_of_float (log (max u 1e-12) /. log (1.0 -. t.random_branch_freq))
         in
         t.rnd_countdown <- gap;
-        random_pick ()
+        random_pick t
       end
     else -1
   in
   if v > 0 then v
   else begin
-    let rec pop () =
-      if t.heap_size = 0 then -1
-      else begin
-        let v = heap_pop t in
-        if t.assign.(v) = 0 then v else pop ()
-      end
-    in
-    let v = pop () in
+    let v = pop_unassigned t in
     if v > 0 then v
     else begin
-      let n = t.nvars in
-      let rec scan z =
-        if z > n then -1
-        else if t.assign.(z) = 0 && t.activity.(z) = 0.0 then begin
-          t.next_zero <- z + 1;
-          z
-        end
-        else scan (z + 1)
-      in
-      let z = scan t.next_zero in
-      if z > 0 then z else (t.next_zero <- n + 1; -1)
+      let z = scan_zero t t.next_zero in
+      if z > 0 then z else (t.next_zero <- t.nvars + 1; -1)
     end
   end
 
@@ -1049,26 +1185,25 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
                   result := Some Unsat
                 end
                 else begin
-                  let learnt, btlevel = analyze t confl in
+                  let btlevel = analyze t confl in
                   cancel_until t btlevel;
-                  (match learnt with
-                  | [] -> t.unsat <- true
-                  | [ l ] -> enqueue t l cr_null
-                  | l :: _ ->
-                    let lits = Array.of_list learnt in
+                  let lits = t.learnt_buf and n = t.learnt_n in
+                  let l = lits.(0) in
+                  if n = 1 then enqueue t l cr_null
+                  else begin
                     (* Watch the asserting literal and a literal from the
                        backtrack level, so the watches are the last
                        literals to be unassigned on further backtracks. *)
                     let best = ref 1 in
-                    for k = 2 to Array.length lits - 1 do
+                    for k = 2 to n - 1 do
                       if t.level.(var_of lits.(k)) > t.level.(var_of lits.(!best))
                       then best := k
                     done;
                     let tmp = lits.(1) in
                     lits.(1) <- lits.(!best);
                     lits.(!best) <- tmp;
-                    let lbd = compute_lbd t lits in
-                    let c = alloc_clause t ~learned:true lits in
+                    let lbd = compute_lbd t lits n in
+                    let c = alloc_clause t ~learned:true lits n in
                     cl_set_lbd t c lbd;
                     attach_clause t c;
                     t.learnts <- push_cref t.learnts t.n_learnts c;
@@ -1076,7 +1211,8 @@ let solve ?(assumptions = [||]) ?n_assumptions ?(budget = unlimited) t =
                     t.learned_total <- t.learned_total + 1;
                     t.lbd_hist.(min lbd (lbd_buckets - 1)) <-
                       t.lbd_hist.(min lbd (lbd_buckets - 1)) + 1;
-                    enqueue t l c);
+                    enqueue t l c
+                  end;
                   var_decay t;
                   if !local_conflicts >= restart_budget then restart := true
                 end
@@ -1139,10 +1275,16 @@ let nudge_activity t v amount =
 
 let reset_phases t = Array.fill t.phase 0 (Array.length t.phase) t.default_phase
 
+(* Splitmix64 stepped inline on a local [int64] — the same sequence as
+   [Splitmix.bool] drawn from [Splitmix.of_seed seed], bit for bit, but
+   without a generator record, result tuple or boxed word per variable. *)
 let randomize_phases t seed =
-  let rng = ref (Scamv_util.Splitmix.of_seed seed) in
+  let s = ref seed in
   for v = 1 to t.nvars do
-    let b, r = Scamv_util.Splitmix.bool !rng in
-    rng := r;
-    t.phase.(v) <- b
+    s := Int64.add !s 0x9E3779B97F4A7C15L;
+    let z = !s in
+    let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
+    let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
+    let z = Int64.(logxor z (shift_right_logical z 31)) in
+    t.phase.(v) <- Int64.to_int z land 1 <> 0
   done

@@ -64,11 +64,39 @@ val new_var : t -> int
 
 val num_vars : t -> int
 
+val num_clauses : t -> int
+(** Problem (non-learnt) clauses in the database.  Until the first
+    root-level simplification this is every clause added that was neither
+    a tautology nor a unit. *)
+
 val add_clause : t -> lit list -> unit
 (** Add a clause over existing variables.  Adding the empty clause (or a
     clause falsified at level 0) makes the instance permanently UNSAT.
     Inside an open {!push} scope the clause is guarded by the innermost
-    scope's selector literal, so {!pop} retracts it. *)
+    scope's selector literal, so {!pop} retracts it.
+
+    Every way of adding a clause goes through one solver-owned intake
+    buffer: literals are sorted and deduplicated in place, tautologies
+    and root-level assignments are resolved there, and the survivors are
+    copied straight into the clause arena.  The functions below stage a
+    clause without building a list; they add exactly the clause
+    [add_clause] would add for the same literals, in any order. *)
+
+val add_unit : t -> lit -> unit
+val add_binary : t -> lit -> lit -> unit
+val add_ternary : t -> lit -> lit -> lit -> unit
+(** Fixed-arity {!add_clause}, allocation-free (Tseitin gate clauses). *)
+
+val begin_clause : t -> unit
+(** Start staging a clause of any length, discarding anything staged
+    before. *)
+
+val add_lit : t -> lit -> unit
+(** Append a literal to the staged clause. *)
+
+val commit_clause : t -> unit
+(** Add the staged clause (same semantics as {!add_clause}) and empty the
+    buffer. *)
 
 val push : t -> unit
 (** Open a retractable scope: clauses added until the matching {!pop} are
@@ -153,7 +181,9 @@ val root_value : t -> int -> int
     model minimizer skip bits whose value is no longer free. *)
 
 val randomize_phases : t -> int64 -> unit
-(** Re-seed saved phases randomly; used by diversified enumeration. *)
+(** Re-seed saved phases randomly; used by diversified enumeration.
+    Variable [v]'s phase is the [v]th draw of {!Scamv_util.Splitmix.bool}
+    from [Splitmix.of_seed seed]; the draws allocate nothing. *)
 
 val reset_phases : t -> unit
 (** Forget saved phases, restoring the default polarity.  Model

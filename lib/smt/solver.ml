@@ -284,6 +284,7 @@ let stats s =
   (Sat.stats_conflicts sat, Sat.stats_decisions sat, Sat.stats_propagations sat)
 
 let var_count s = Sat.num_vars (Blaster.solver s.blaster)
+let clause_count s = Sat.num_clauses (Blaster.solver s.blaster)
 
 let solve ?seed ?default_phase ?graph formulas =
   let s = make_session ?seed ?default_phase ?graph formulas in

@@ -127,3 +127,7 @@ val stats : session -> int * int * int
 
 val var_count : session -> int
 (** Number of SAT variables allocated (inputs + gates). *)
+
+val clause_count : session -> int
+(** Problem clauses currently held by the SAT solver (see
+    {!Sat.num_clauses}). *)

@@ -140,6 +140,33 @@ let test_campaign_portfolio_identity () =
         (run ~portfolio ~jobs))
     [ (1, 2); (2, 1); (2, 2); (4, 1); (4, 2) ]
 
+let test_campaign_search_pinned () =
+  (* The solver's work on one seeded campaign, pinned as exact counts.
+     Verdicts alone could survive a change to the CNF or to the search
+     (a different clause order, another phase draw); these counters do
+     not.  A refactor of clause intake, blasting or phase randomization
+     must leave them exactly as they are; a deliberate change to the
+     search must update them and say why. *)
+  let cfg =
+    Campaign.make ~name:"search-pin" ~template:Templates.template_a
+      ~setup:(Refinement.mct_vs_mspec ()) ~programs:6 ~tests_per_program:4
+      ~seed:2021L ~clock:Scamv_util.Stopwatch.frozen ()
+  in
+  let outcome = Campaign.run ~jobs:1 cfg in
+  let counter =
+    Scamv_telemetry.Metrics.counter
+      outcome.Campaign.telemetry.Scamv_telemetry.Collector.metrics
+  in
+  List.iter
+    (fun (name, expected) -> Alcotest.(check int) name expected (counter name))
+    [
+      ("sat.queries", 154);
+      ("sat.conflicts", 853);
+      ("sat.propagations", 387196);
+      ("smt.models", 30);
+      ("smt.blast_cache_misses", 27319);
+    ]
+
 let test_pipeline_deterministic () =
   let tmpl = Scamv_gen.Gen.generate ~seed:7L Templates.template_c in
   let run () =
@@ -238,6 +265,7 @@ let () =
           Alcotest.test_case "produces test cases" `Quick test_pipeline_produces_test_cases;
           Alcotest.test_case "test cases distinct" `Quick test_pipeline_test_cases_distinct;
           Alcotest.test_case "deterministic" `Quick test_pipeline_deterministic;
+          Alcotest.test_case "campaign search pinned" `Quick test_campaign_search_pinned;
           Alcotest.test_case "straight-line unguided" `Quick
             test_pipeline_unguided_straightline_program;
         ] );

@@ -426,6 +426,242 @@ let test_propagation_allocation () =
     true
     (delta < float_of_int n)
 
+(* ---- clause intake and phase randomization ---- *)
+
+let test_randomize_phases_matches_splitmix () =
+  (* [randomize_phases] steps splitmix64 inline; it must reproduce the
+     [Splitmix.bool] stream bit for bit, or diversified enumeration would
+     draw different models.  On an empty CNF every variable is decided at
+     its saved phase, so the model read back is the phase vector. *)
+  let module Sm = Scamv_util.Splitmix in
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun nvars ->
+          let s = Sat.create () in
+          for _ = 1 to nvars do
+            ignore (Sat.new_var s)
+          done;
+          Sat.randomize_phases s seed;
+          if Sat.solve s <> Sat.Sat then Alcotest.fail "empty CNF must be sat";
+          let rng = ref (Sm.of_seed seed) in
+          let expected =
+            String.init nvars (fun _ ->
+                let b, r = Sm.bool !rng in
+                rng := r;
+                if b then '1' else '0')
+          in
+          let got =
+            String.init nvars (fun i -> if Sat.value s (i + 1) then '1' else '0')
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "seed %Ld, %d vars" seed nvars)
+            expected got)
+        [ 1; 2; 63; 64; 65; 1000 ])
+    [ 0L; 1L; 42L; -1L; Int64.min_int; Int64.max_int; 0x9E3779B97F4A7C15L ]
+
+(* Clause intake through the solver's staging buffer: clauses full of
+   duplicate literals, complementary pairs and literals already fixed at
+   the root, staged in random order through every entry point (list,
+   fixed arity, begin/add_lit/commit) and partly inside an open push
+   scope, must leave exactly the brute-force model set — inside the scope
+   and again after the pop. *)
+let prop_clause_intake_matches_brute_force =
+  QCheck.Test.make ~name:"buffered clause intake matches brute force" ~count:300
+    QCheck.(triple (int_bound 1000000) (int_range 2 6) (int_range 2 14))
+    (fun (seed, nvars, nclauses) ->
+      let module Sm = Scamv_util.Splitmix in
+      let rng = ref (Sm.of_seed (Int64.of_int seed)) in
+      let next n =
+        let v, r = Sm.int !rng n in
+        rng := r;
+        v
+      in
+      let s = Sat.create () in
+      let vars = Array.init nvars (fun _ -> Sat.new_var s) in
+      let lit v = if next 2 = 1 then Sat.neg_of_var vars.(v) else Sat.pos vars.(v) in
+      (* Literals come from a pool of at most three variables, so repeats
+         and complementary pairs are common; the empty clause is rare. *)
+      let gen_clause () =
+        let pool = Array.init 3 (fun _ -> next nvars) in
+        let width = if next 40 = 0 then 0 else 1 + next 6 in
+        List.init width (fun _ -> lit pool.(next 3))
+      in
+      let add c =
+        match (next 3, c) with
+        | 0, _ -> Sat.add_clause s c
+        | 1, [ a ] -> Sat.add_unit s a
+        | 1, [ a; b ] -> Sat.add_binary s a b
+        | 1, [ a; b; c ] -> Sat.add_ternary s a b c
+        | _ ->
+          (* A stale staged literal must be discarded by [begin_clause]. *)
+          Sat.add_lit s (lit (next nvars));
+          Sat.begin_clause s;
+          let shuffled, r = Sm.shuffle !rng c in
+          rng := r;
+          List.iter (Sat.add_lit s) shuffled;
+          Sat.commit_clause s
+      in
+      let units = List.init (next 3) (fun _ -> [ lit (next nvars) ]) in
+      let base = List.init (nclauses / 2) (fun _ -> gen_clause ()) in
+      let scoped = List.init (nclauses - (nclauses / 2)) (fun _ -> gen_clause ()) in
+      let brute clauses =
+        let models = ref [] in
+        for bits = 0 to (1 lsl nvars) - 1 do
+          let value v = bits land (1 lsl (v - 1)) <> 0 in
+          let holds l =
+            if Sat.is_pos l then value (Sat.var_of l) else not (value (Sat.var_of l))
+          in
+          if List.for_all (List.exists holds) clauses then
+            models :=
+              String.init nvars (fun i -> if value vars.(i) then '1' else '0')
+              :: !models
+        done;
+        List.sort compare !models
+      in
+      let enumerate () =
+        let found = ref [] in
+        let overrun = ref false in
+        let continue = ref true in
+        while !continue do
+          if List.length !found > 1 lsl nvars then begin
+            overrun := true;
+            continue := false
+          end
+          else
+            match Sat.solve s with
+            | Sat.Sat ->
+              found :=
+                String.init nvars (fun i -> if Sat.value s vars.(i) then '1' else '0')
+                :: !found;
+              add
+                (Array.to_list
+                   (Array.map
+                      (fun v -> if Sat.value s v then Sat.neg_of_var v else Sat.pos v)
+                      vars))
+            | Sat.Unsat | Sat.Unknown -> continue := false
+        done;
+        if !overrun then None else Some (List.sort compare !found)
+      in
+      List.iter add units;
+      List.iter add base;
+      Sat.push s;
+      List.iter add scoped;
+      let in_scope = enumerate () in
+      Sat.pop s;
+      let after_pop = enumerate () in
+      in_scope = Some (brute (units @ base @ scoped))
+      && after_pop = Some (brute (units @ base)))
+
+let test_long_clause_intake_not_quadratic () =
+  (* A blocking clause has one literal per tracked input bit — thousands.
+     Its literals arrive in descending order (an insertion sort's worst
+     case); the per-literal cost of adding a 4000-literal clause must stay
+     within 4x of a 500-literal one's, where a quadratic sort would pay
+     8x (an O(n log n) one measures about 2x, cache effects included).
+     Best of 15 repetitions each, to keep scheduler noise out. *)
+  let per_literal n =
+    let best = ref infinity in
+    for _ = 1 to 15 do
+      let s = Sat.create () in
+      let vars = Array.init n (fun _ -> Sat.new_var s) in
+      let lits = List.init n (fun i -> Sat.neg_of_var vars.(n - 1 - i)) in
+      let t0 = Unix.gettimeofday () in
+      Sat.add_clause s lits;
+      best := Float.min !best (Unix.gettimeofday () -. t0)
+    done;
+    !best /. float_of_int n
+  in
+  let short = per_literal 500 and long = per_literal 4000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "per-literal cost %.1f ns at 4000 vs %.1f ns at 500" (long *. 1e9)
+       (short *. 1e9))
+    true
+    (long < 4. *. short)
+
+(* Allocation bounds on the intake path.  Minor words are deterministic
+   for a given build, so these are exact regression fences rather than
+   timing checks. *)
+
+let test_randomize_phases_allocation () =
+  let s = Sat.create () in
+  for _ = 1 to 10_000 do
+    ignore (Sat.new_var s)
+  done;
+  Sat.randomize_phases s 7L;
+  let w0 = Gc.minor_words () in
+  Sat.randomize_phases s 8L;
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words for 10000 phases (limit 100)" delta)
+    true (delta < 100.)
+
+let test_conflict_analysis_allocation () =
+  (* Pigeonhole 8/7 is unsatisfiable and needs thousands of conflicts.
+     First-UIP analysis derives each learnt clause in solver-owned scratch
+     arrays and branching picks variables without closures.  What is left
+     (about 30 words per conflict) is clause-DB reduction and the growth
+     of watch and clause-index vectors; list-based analysis cost about
+     260. *)
+  let s = Sat.create () in
+  let p = Array.init 8 (fun _ -> Array.init 7 (fun _ -> Sat.new_var s)) in
+  for i = 0 to 7 do
+    Sat.add_clause s (Array.to_list (Array.map Sat.pos p.(i)))
+  done;
+  for h = 0 to 6 do
+    for i = 0 to 7 do
+      for j = i + 1 to 7 do
+        Sat.add_binary s (Sat.neg_of_var p.(i).(h)) (Sat.neg_of_var p.(j).(h))
+      done
+    done
+  done;
+  let w0 = Gc.minor_words () in
+  if Sat.solve s <> Sat.Unsat then Alcotest.fail "pigeonhole 8/7 must be unsat";
+  let delta = Gc.minor_words () -. w0 in
+  let conflicts = Sat.stats_conflicts s in
+  Alcotest.(check bool) "enough conflicts to measure" true (conflicts > 1000);
+  let per_conflict = delta /. float_of_int conflicts in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.2f minor words per conflict over %d conflicts (limit 60)"
+       per_conflict conflicts)
+    true (per_conflict < 60.)
+
+let test_blast_allocation_per_clause () =
+  (* Graph construction still allocates (nodes, gate-cache entries), but
+     emission must not add a list, a sorted copy and an array per clause:
+     that path cost about 80 words per clause. *)
+  let x = T.bv_var "x" 64 and y = T.bv_var "y" 64 and z = T.bv_var "z" 64 in
+  let b = Blaster.create () in
+  let w0 = Gc.minor_words () in
+  Blaster.assert_term b (T.eq (T.add x y) z);
+  let delta = Gc.minor_words () -. w0 in
+  let clauses = Sat.num_clauses (Blaster.solver b) in
+  Alcotest.(check bool) "the circuit emitted clauses" true (clauses > 500);
+  let per_clause = delta /. float_of_int clauses in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f minor words per emitted clause (limit 30)" per_clause)
+    true (per_clause < 30.)
+
+let test_block_assignment_allocation () =
+  (* A blocking clause over a 64-bit input is staged literal by literal
+     into the solver's buffer: no list cells, no intermediate arrays. *)
+  let x = T.bv_var "x" 64 in
+  let b = Blaster.create () in
+  Blaster.assert_term b (T.ult x (T.bv_const 1000L 64));
+  let track = [ ("x", Sort.Bv 64) ] in
+  let solve () =
+    if Sat.solve (Blaster.solver b) <> Sat.Sat then Alcotest.fail "expected sat"
+  in
+  solve ();
+  Blaster.block_assignment b track;
+  solve ();
+  let w0 = Gc.minor_words () in
+  Blaster.block_assignment b track;
+  let delta = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words to block a 64-bit model (limit 32)" delta)
+    true (delta < 32.)
+
 (* ------------------------------------------------------------------ *)
 (* Solver end-to-end on terms                                          *)
 (* ------------------------------------------------------------------ *)
@@ -927,6 +1163,19 @@ let () =
           QCheck_alcotest.to_alcotest prop_push_pop_matches_brute_force;
           Alcotest.test_case "propagation allocation bounded" `Quick
             test_propagation_allocation;
+          Alcotest.test_case "randomize_phases matches Splitmix.bool" `Quick
+            test_randomize_phases_matches_splitmix;
+          QCheck_alcotest.to_alcotest prop_clause_intake_matches_brute_force;
+          Alcotest.test_case "long clause intake not quadratic" `Quick
+            test_long_clause_intake_not_quadratic;
+          Alcotest.test_case "randomize_phases allocation bounded" `Quick
+            test_randomize_phases_allocation;
+          Alcotest.test_case "conflict analysis allocation bounded" `Quick
+            test_conflict_analysis_allocation;
+          Alcotest.test_case "blast allocation per clause bounded" `Quick
+            test_blast_allocation_per_clause;
+          Alcotest.test_case "block_assignment allocation bounded" `Quick
+            test_block_assignment_allocation;
         ] );
       ( "solver",
         [
