@@ -3,9 +3,10 @@ DUNE ?= dune
 # Seeded smoke campaign: fault injection + retry + a tight SAT budget +
 # a 2-config solver portfolio, so the quarantine/retry/fault/portfolio
 # counters are exercised on every check.
-SMOKE = campaign --template A --setup mct-vs-mspec -p 6 -k 4 --seed 2021 \
+SMOKE_OPTS = --template A -p 6 -k 4 --seed 2021 \
 	--fault-rate 0.1 --fault-seed 7 --max-attempts 3 --max-conflicts 100 \
 	--portfolio 2
+SMOKE = campaign --setup mct-vs-mspec $(SMOKE_OPTS)
 
 .PHONY: all build test smoke check bench bench-smoke chaos-smoke metrics-smoke solver-smoke serve-smoke diff-smoke perf-check service-perf-check clean
 
@@ -17,9 +18,22 @@ build:
 test:
 	$(DUNE) runtest
 
+# Then the journal/resume path through the binary: journal the campaign,
+# resume it from its own journal, and require that resuming it as another
+# setup is refused with the journal left byte-for-byte as it was.
 smoke: build
 	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE)
 	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) --jobs 4
+	rm -f smoke.journal smoke.journal.orig smoke.resume.err
+	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) --csv smoke.journal
+	$(DUNE) exec bin/scamv_cli.exe -- $(SMOKE) --resume smoke.journal \
+		--csv smoke.journal
+	cp smoke.journal smoke.journal.orig
+	! $(DUNE) exec bin/scamv_cli.exe -- campaign --setup mct-unguided \
+		$(SMOKE_OPTS) --resume smoke.journal --csv smoke.journal \
+		2> smoke.resume.err
+	grep -q 'campaign "mct-vs-mspec on template A" in the journal' smoke.resume.err
+	cmp smoke.journal smoke.journal.orig
 
 check: build test smoke
 

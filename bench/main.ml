@@ -923,7 +923,12 @@ let portfolio_microbench () =
     | Solver.Budget_exceeded -> 0
   in
   let race jobs =
-    let tags = Pool.map ~jobs entrant (n * configs) in
+    let tags = Array.make (n * configs) 0 in
+    Pool.run_supervised ~jobs ~tasks:(n * configs) ~worker:entrant
+      ~consume:(fun i -> function
+        | Ok tag -> tags.(i) <- tag
+        | Error { Pool.exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace)
+      ();
     Array.init n (fun r ->
         let rec first rank =
           if rank >= configs then None
@@ -1521,7 +1526,7 @@ let run_campaign ?resume ~jobs cfg =
   let outcome =
     Campaign.run ~on_event:(fun m -> events := m :: !events) ~journal ?resume ~jobs cfg
   in
-  (Journal.to_csv journal, outcome, List.rev !events)
+  (Journal.to_string journal, outcome, List.rev !events)
 
 (* The `chaos-child` subcommand: runs the journaled campaign this process
    is about to SIGKILL.  Kept inside the bench executable so the harness
@@ -1571,11 +1576,11 @@ let chaos_kill_resume ~programs ~tests () =
       Out_channel.output_string oc
         (String.sub contents 0 (String.length contents - 7)));
   let cfg () = chaos_cfg ~programs ~tests () in
-  let csv_resumed, resumed, events = run_campaign ~resume:path ~jobs:1 (cfg ()) in
-  let csv_ref, reference, _ = run_campaign ~jobs:1 (cfg ()) in
+  let journal_resumed, resumed, events = run_campaign ~resume:path ~jobs:1 (cfg ()) in
+  let journal_ref, reference, _ = run_campaign ~jobs:1 (cfg ()) in
   if not (List.exists (fun m -> contains_substring m "damaged tail") events) then
     chaos_fail "resume after SIGKILL did not report tail recovery";
-  if csv_resumed <> csv_ref then
+  if journal_resumed <> journal_ref then
     chaos_fail "resumed journal differs from uninterrupted run";
   if Stdlib.compare resumed.Campaign.stats reference.Campaign.stats <> 0 then
     chaos_fail "resumed statistics differ from uninterrupted run";
@@ -1588,9 +1593,9 @@ let chaos_kill_resume ~programs ~tests () =
   Printf.printf "OK: SIGKILL + torn tail resume matches uninterrupted run (%d records recovered)\n%!"
     (Metrics.counter m "journal.recovered_records")
 
-let check_identical ~what (csv_a, (oa : Campaign.outcome), ev_a)
-    (csv_b, (ob : Campaign.outcome), ev_b) =
-  if csv_a <> csv_b then chaos_fail "%s: journals differ across --jobs" what;
+let check_identical ~what (journal_a, (oa : Campaign.outcome), ev_a)
+    (journal_b, (ob : Campaign.outcome), ev_b) =
+  if journal_a <> journal_b then chaos_fail "%s: journals differ across --jobs" what;
   if ev_a <> ev_b then chaos_fail "%s: progress logs differ across --jobs" what;
   (* Stdlib.compare, not (=): an all-crashed run has zero experiments and
      its Summary min/max fields are nan, which (=) never equates. *)

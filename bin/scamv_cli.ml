@@ -5,47 +5,15 @@
    scamv models                                           list models/setups
 *)
 
-module Ast = Scamv_isa.Ast
 module Isa = Scamv_arch.Isa
-module Platform = Scamv_isa.Platform
-module Executor = Scamv_microarch.Executor
 module Refinement = Scamv_models.Refinement
-module Region = Scamv_models.Region
 module Templates = Scamv_gen.Templates
 module Gen = Scamv_gen.Gen
 module Campaign = Scamv.Campaign
 module Pipeline = Scamv.Pipeline
 module Stats = Scamv.Stats
+module Workload = Scamv_service.Workload
 open Cmdliner
-
-let platform = Platform.cortex_a53
-
-(* ---- setups ---- *)
-
-let region = Region.paper_unaligned platform
-let region_pa = Region.paper_page_aligned platform
-
-let setups =
-  [
-    ("mct-unguided", fun () -> Refinement.mct_unguided);
-    ("mct-vs-mspec", fun () -> Refinement.mct_vs_mspec ());
-    ("mspec1-vs-mspec", fun () -> Refinement.mspec1_vs_mspec ());
-    ("mct-vs-mspec-sl", fun () -> Refinement.mct_vs_mspec_straight_line ());
-    ("mpart-unguided", fun () -> Refinement.mpart_unguided platform region);
-    ("mpart-vs-mpart'", fun () -> Refinement.mpart_vs_mpart' platform region);
-    ("mpart-pa-unguided", fun () -> Refinement.mpart_unguided platform region_pa);
-    ("mpart-pa-vs-mpart'", fun () -> Refinement.mpart_vs_mpart' platform region_pa);
-  ]
-
-let default_view name =
-  if String.length name >= 5 && String.sub name 0 5 = "mpart" then
-    if String.length name >= 8 && String.sub name 0 8 = "mpart-pa" then
-      Executor.Region
-        { first_set = region_pa.Region.first_set; last_set = region_pa.Region.last_set }
-    else
-      Executor.Region
-        { first_set = region.Region.first_set; last_set = region.Region.last_set }
-  else Executor.Full_cache
 
 (* ---- common options ---- *)
 
@@ -56,7 +24,7 @@ let template_arg =
 let setup_arg =
   let doc =
     "Validation setup (model under validation and refinement): "
-    ^ String.concat ", " (List.map fst setups)
+    ^ String.concat ", " Workload.setup_names
     ^ "."
   in
   Arg.(value & opt string "mct-vs-mspec" & info [ "setup"; "m" ] ~docv:"SETUP" ~doc)
@@ -69,18 +37,14 @@ let isa_arg =
   let doc = "Guest instruction set: aarch64 or riscv." in
   Arg.(value & opt string "aarch64" & info [ "isa" ] ~docv:"ISA" ~doc)
 
-let lookup_setup name =
-  match List.assoc_opt name setups with
-  | Some s -> Ok (s ())
-  | None -> Error (`Msg ("unknown setup " ^ name ^ "; see `scamv models`"))
-
 let lookup_isa name =
   match Isa.of_string name with Ok isa -> Ok isa | Error msg -> Error (`Msg msg)
 
+(* The service's workload catalogue, with errors in cmdliner's shape. *)
+let lookup_setup name = Result.map_error (fun m -> `Msg m) (Workload.lookup_setup name)
+
 let lookup_template ?isa name =
-  match Templates.by_name ?isa name with
-  | t -> Ok t
-  | exception Invalid_argument msg -> Error (`Msg msg)
+  Result.map_error (fun m -> `Msg m) (Workload.lookup_template ?isa name)
 
 (* ---- campaign command ---- *)
 
@@ -101,8 +65,8 @@ let campaign_cmd =
       & info [ "csv" ] ~docv:"FILE"
           ~doc:
             "Persist the experiment journal to $(docv) incrementally (one \
-             flushed CSV row per event); the file doubles as a checkpoint for \
-             $(b,--resume).")
+             flushed, checksummed record per event); the file doubles as a \
+             checkpoint for $(b,--resume).")
   in
   let resume_arg =
     Arg.(
@@ -110,9 +74,11 @@ let campaign_cmd =
       & opt (some string) None
       & info [ "resume" ] ~docv:"FILE"
           ~doc:
-            "Resume a killed campaign from the journal CSV it left behind; \
-             completed programs are replayed, the rest are re-run.  Typically \
-             $(docv) is the same file as $(b,--csv).")
+            "Resume a killed campaign from the journal it left behind; \
+             completed programs are replayed, the rest are re-run.  A torn \
+             tail is dropped and its program re-run; a journal of another \
+             campaign (setup, template, ISA, or more programs) is refused. \
+             Typically $(docv) is the same file as $(b,--csv).")
   in
   let max_conflicts_arg =
     Arg.(
@@ -281,22 +247,7 @@ let campaign_cmd =
         Error (`Msg "--chaos-rate must be within [0, 1]")
       else Ok ()
     in
-    let* () =
-      (* Tolerant pre-flight check: a torn tail is recovered (and reported
-         below by Campaign.run), so only unreadable files and malformed v1
-         CSVs are rejected here. *)
-      match resume with
-      | None -> Ok ()
-      | Some path -> (
-        try
-          if Sys.file_exists path then ignore (Scamv.Journal.load ~path);
-          Ok ()
-        with
-        | Scamv.Journal.Parse_error msg ->
-          Error (`Msg (Printf.sprintf "--resume %s: %s" path msg))
-        | Sys_error msg -> Error (`Msg msg))
-    in
-    let name = Printf.sprintf "%s on template %s" setup_name template_name in
+    let name = Workload.campaign_name ~setup:setup_name ~template:template_name in
     let cap n = if n > 0 then Some n else None in
     let sat_budget =
       match (cap max_conflicts, cap max_decisions, cap max_propagations) with
@@ -329,13 +280,26 @@ let campaign_cmd =
       else Ok ()
     in
     let cfg =
-      Campaign.make ~name ~isa ~template ~setup ~view:(default_view setup_name)
+      Campaign.make ~name ~isa ~template ~setup ~view:(Workload.view_for setup_name)
         ~programs ~tests_per_program:tests ~seed ?sat_budget ~portfolio ~retry
         ?faults ?deadline ?chaos ()
     in
     let on_event = if verbose then print_endline else fun _ -> () in
     let journal = Scamv.Journal.create ?path:csv ?chaos () in
-    let outcome = Campaign.run ~on_event ~journal ?resume ~jobs cfg in
+    (* The resume journal is loaded and checked before any program runs or
+       anything is recorded: an unreadable file, a non-journal, or another
+       campaign's journal is refused with [--csv] still unwritten.  A torn
+       tail is not an error; Campaign.run recovers and reports it. *)
+    let resume_error msg =
+      Error (`Msg (Printf.sprintf "--resume %s: %s" (Option.get resume) msg))
+    in
+    let* outcome =
+      match Campaign.run ~on_event ~journal ?resume ~jobs cfg with
+      | outcome -> Ok outcome
+      | exception (Scamv.Journal.Parse_error msg | Campaign.Resume_mismatch msg) ->
+        resume_error msg
+      | exception Sys_error msg -> Error (`Msg msg)
+    in
     Scamv.Journal.close journal;
     print_string
       (Scamv_util.Text_table.render ~header:Stats.header
@@ -496,7 +460,7 @@ let diff_cmd =
       if portfolio < 1 then Error (`Msg "--portfolio must be at least 1")
       else Ok ()
     in
-    let name = Printf.sprintf "%s on template %s" setup_name template_name in
+    let name = Workload.campaign_name ~setup:setup_name ~template:template_name in
     let sat_budget =
       if max_conflicts > 0 then
         Some (Scamv_smt.Sat.budget ~conflicts:max_conflicts ())
@@ -509,7 +473,7 @@ let diff_cmd =
     let journal = Scamv.Journal.create ?path:csv () in
     let outcome =
       Scamv.Diff.run ~on_event ~journal ~jobs ~name ~template:template_name
-        ~setup ~view:(default_view setup_name) ~programs
+        ~setup ~view:(Workload.view_for setup_name) ~programs
         ~tests_per_program:tests ~seed ?sat_budget ~portfolio ~clock ()
     in
     Scamv.Journal.close journal;
@@ -564,7 +528,7 @@ let models_cmd =
     List.iter
       (fun (m : Scamv_models.Model.t) ->
         Printf.printf "  %-8s %s\n" m.Scamv_models.Model.name m.Scamv_models.Model.description)
-      (Scamv_models.Catalog.all_static platform region
+      (Scamv_models.Catalog.all_static Workload.platform Workload.region
       @ [
           Scamv_models.Catalog.mspec ();
           Scamv_models.Catalog.mspec1 ();
@@ -572,7 +536,7 @@ let models_cmd =
         ]);
     print_endline "";
     print_endline "Validation setups (--setup):";
-    List.iter (fun (name, _) -> Printf.printf "  %s\n" name) setups;
+    List.iter (Printf.printf "  %s\n") Workload.setup_names;
     Ok ()
   in
   let info = Cmd.info "models" ~doc:"List the available models and validation setups." in

@@ -80,7 +80,44 @@ type outcome = {
    interrupted run would have produced, and the final statistics match an
    uninterrupted campaign. *)
 
-let load_checkpoint path =
+exception Resume_mismatch of string
+
+let () =
+  Printexc.register_printer (function
+    | Resume_mismatch msg -> Some ("resume journal mismatch: " ^ msg)
+    | _ -> None)
+
+(* A checkpoint only resumes the campaign that wrote it: every loaded
+   event must carry this campaign's name and ISA and a program index the
+   campaign has.  Checked before anything is recorded, so a rejected
+   resume leaves the (lazily opened) output journal untouched. *)
+let check_resumable cfg ev =
+  let program_index = Journal.event_program_index ev in
+  let fail field found expected =
+    raise
+      (Resume_mismatch
+         (Printf.sprintf "%s %s in the journal, expected %s" field found
+            expected))
+  in
+  let campaign =
+    match ev with
+    | Journal.Experiment e -> e.Journal.campaign
+    | Journal.Quarantined { campaign; _ }
+    | Journal.Program_failed { campaign; _ }
+    | Journal.Crashed { campaign; _ }
+    | Journal.Diverged { campaign; _ } -> campaign
+  in
+  if campaign <> cfg.name then
+    fail "campaign" (Printf.sprintf "%S" campaign) (Printf.sprintf "%S" cfg.name);
+  (match ev with
+  | Journal.Experiment e when not (Isa.equal e.Journal.isa cfg.isa) ->
+    fail "isa" (Isa.to_string e.Journal.isa) (Isa.to_string cfg.isa)
+  | _ -> ());
+  if program_index >= cfg.programs then
+    fail "program index" (string_of_int program_index)
+      (Printf.sprintf "< %d (the campaign's program count)" cfg.programs)
+
+let load_checkpoint cfg path =
   if not (Sys.file_exists path) then (0, [], None)
   else begin
     (* Tolerant load: a SIGKILLed campaign can leave a torn or
@@ -89,6 +126,7 @@ let load_checkpoint path =
        seen, which is re-run anyway. *)
     let j, recovery = Journal.load ~path in
     let events = Journal.events j in
+    List.iter (check_resumable cfg) events;
     let restart =
       List.fold_left (fun m ev -> max m (Journal.event_program_index ev)) (-1) events
     in
@@ -98,25 +136,6 @@ let load_checkpoint path =
         List.filter (fun ev -> Journal.event_program_index ev < restart) events,
         Some recovery )
   end
-
-let replay stats journal watch ~on_record events =
-  List.iter
-    (fun ev ->
-      Option.iter (fun j -> Journal.record_event j ev) journal;
-      on_record ev;
-      match ev with
-      | Journal.Experiment e ->
-        stats :=
-          Stats.record_experiment !stats ~verdict:e.Journal.verdict
-            ~retries:e.Journal.retries ~faults:e.Journal.faults
-            ~gen_seconds:e.Journal.generation_seconds
-            ~exe_seconds:e.Journal.execution_seconds
-            ~elapsed:(Stopwatch.elapsed_s watch) ()
-      | Journal.Quarantined _ -> stats := Stats.record_quarantine !stats
-      | Journal.Program_failed _ -> stats := Stats.record_skipped_program !stats
-      | Journal.Crashed _ -> stats := Stats.record_crashed_program !stats
-      | Journal.Diverged _ -> stats := Stats.record_divergence !stats)
-    events
 
 (* ---- per-program pipeline (worker side) ----
 
@@ -285,8 +304,9 @@ let run_program cfg pipeline_cfg ~program_index program_rng :
 
    Fold one completed program's event buffer into the journal, statistics
    and progress stream.  The pool delivers buffers in program order, so
-   everything observable — journal CSV bytes, checkpoint prefixes, final
-   statistics, progress lines — is identical whatever [jobs] was. *)
+   everything observable — journal bytes, checkpoint prefixes, final
+   statistics, progress lines — is identical whatever [jobs] was.  Programs
+   replayed from a resume journal are folded through here too. *)
 
 let merge_program cfg ~on_event ~on_record ~journal ~watch ~stats ~program_index
     events =
@@ -373,7 +393,7 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
   let start_index, replayed, recovery =
     match resume with
     | None -> (0, [], None)
-    | Some path -> load_checkpoint path
+    | Some path -> load_checkpoint cfg path
   in
   (match recovery with
   | Some { Journal.records; dropped_bytes } when dropped_bytes > 0 ->
@@ -382,20 +402,22 @@ let run ?(on_event = fun _ -> ()) ?(on_record = fun (_ : Journal.event) -> ())
          "[%s] resume journal had a damaged tail: kept %d clean record(s), dropped %d byte(s)"
          cfg.name records dropped_bytes)
   | _ -> ());
-  let start_index = min start_index cfg.programs in
   if start_index > 0 then begin
-    replay stats journal watch ~on_record replayed;
-    for i = 0 to start_index - 1 do
-      let found =
-        List.exists
-          (function
-            | Journal.Experiment e ->
-              e.Journal.program_index = i && e.Journal.verdict = Executor.Distinguishable
-            | _ -> false)
-          replayed
-      in
-      stats := Stats.record_program !stats ~found_counterexample:found
-    done;
+    (* Completed programs go through the same merge as executed ones, one
+       call per program (events or not), with progress output silenced:
+       stats, journal and [on_record] see exactly what an uninterrupted
+       run produced for them. *)
+    let by_program = Array.make start_index [] in
+    List.iter
+      (fun ev ->
+        let i = Journal.event_program_index ev in
+        by_program.(i) <- ev :: by_program.(i))
+      (List.rev replayed);
+    Array.iteri
+      (fun program_index events ->
+        merge_program cfg ~on_event:ignore ~on_record ~journal ~watch ~stats
+          ~program_index events)
+      by_program;
     on_event
       (Printf.sprintf "[%s] resumed at program %d (%d events replayed)" cfg.name
          start_index (List.length replayed))

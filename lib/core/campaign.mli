@@ -107,6 +107,10 @@ type outcome = {
           were not re-executed and contribute no telemetry. *)
 }
 
+exception Resume_mismatch of string
+(** The [resume] journal was written by a different campaign; the message
+    names the mismatching field ([campaign], [isa] or [program index]). *)
+
 val run :
   ?on_event:(string -> unit) ->
   ?on_record:(Journal.event -> unit) ->
@@ -136,7 +140,7 @@ val run :
 
     [jobs] (default [1]) is the number of worker domains running program
     pipelines concurrently; [0] means all cores
-    ({!Scamv_util.Pool.default_jobs}).  Each program consumes a dedicated
+    ({!Scamv_util.Pool.resolve_jobs}).  Each program consumes a dedicated
     RNG stream split off the campaign seed in program order, and completed
     programs are merged in program order on the calling domain, so journal
     contents, checkpoint prefixes, final statistics and the sequence of
@@ -155,7 +159,15 @@ val run :
     [journal.recovered_records] telemetry, and the affected program is
     simply re-run.  Because all per-program randomness is split off the
     campaign seed up front, a resumed run produces final statistics
-    identical to an uninterrupted one.
+    identical to an uninterrupted one.  Replayed programs are merged
+    exactly like executed ones, except that their progress lines are not
+    re-emitted: [on_event] sees one "resumed at program N" line and then
+    the lines of the re-run programs.
+
+    @raise Resume_mismatch before any program runs, and before anything is
+    recorded into [journal], when the [resume] journal belongs to another
+    campaign: an event names a different campaign, an experiment a
+    different ISA, or an event a program index [>= programs].
 
     Supervision: a worker-domain crash (chaos kill, stack overflow) is
     captured by {!Scamv_util.Pool.run_supervised} — the domain is

@@ -74,10 +74,7 @@ let pp_verdict ppf v = Format.pp_print_string ppf (verdict_string v)
 
 let quote s = "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
 
-let csv_header =
-  "campaign,kind,program,test,template,path1,path2,verdict,gen_seconds,exe_seconds,retries,faults,reason\n"
-
-let event_row ev =
+let event_payload ev =
   match ev with
   | Experiment e ->
     (* The ISA rides in a 14th column appended only for non-AArch64 rows,
@@ -86,30 +83,29 @@ let event_row ev =
     let isa_suffix =
       match e.isa with Isa.Aarch64 -> "" | isa -> "," ^ Isa.to_string isa
     in
-    Printf.sprintf "%s,experiment,%d,%d,%s,%d,%d,%s,%.6f,%.6f,%d,%d,%s\n"
+    Printf.sprintf "%s,experiment,%d,%d,%s,%d,%d,%s,%.6f,%.6f,%d,%d,%s"
       (quote e.campaign) e.program_index e.test_index (quote e.template)
       (fst e.path_pair) (snd e.path_pair) (verdict_string e.verdict)
       e.generation_seconds e.execution_seconds e.retries e.faults isa_suffix
   | Quarantined q ->
-    Printf.sprintf "%s,quarantined,%d,,,%d,%d,,,,,,%s\n" (quote q.campaign)
+    Printf.sprintf "%s,quarantined,%d,,,%d,%d,,,,,,%s" (quote q.campaign)
       q.program_index (fst q.pair) (snd q.pair) (quote q.reason)
   | Program_failed f ->
-    Printf.sprintf "%s,program-failed,%d,,,,,,,,,,%s\n" (quote f.campaign)
+    Printf.sprintf "%s,program-failed,%d,,,,,,,,,,%s" (quote f.campaign)
       f.program_index (quote f.reason)
   | Crashed c ->
-    Printf.sprintf "%s,crashed,%d,,,,,,,,,,%s\n" (quote c.campaign)
+    Printf.sprintf "%s,crashed,%d,,,,,,,,,,%s" (quote c.campaign)
       c.program_index (quote c.reason)
   | Diverged d ->
     (* The AArch64 verdict takes the verdict column; the RISC-V verdict
        rides in the reason column (both render as verdict words). *)
-    Printf.sprintf "%s,diverged,%d,,,%d,%d,%s,,,,,%s\n" (quote d.campaign)
+    Printf.sprintf "%s,diverged,%d,,,%d,%d,%s,,,,,%s" (quote d.campaign)
       d.program_index (fst d.pair) (snd d.pair) (verdict_string d.aarch64)
       (verdict_string d.riscv)
 
-(* ---- v2 on-disk framing ----
+(* ---- on-disk framing ----
 
-   The incremental on-disk format frames each CSV row (sans trailing
-   newline) as
+   The journal frames each CSV row (sans trailing newline) as
 
      R <payload-length> <crc32-hex>\n<payload>\n
 
@@ -125,11 +121,6 @@ let frame ?(corrupt_crc = false) payload =
   let crc = if corrupt_crc then crc lxor 0xFF else crc in
   Printf.sprintf "R %d %s\n%s\n" (String.length payload) (Crc32.to_hex crc)
     payload
-
-let event_payload ev =
-  let row = event_row ev in
-  (* rows always end in '\n'; the frame supplies its own terminator *)
-  String.sub row 0 (String.length row - 1)
 
 (* ---- recording (with optional append-to-disk persistence) ---- *)
 
@@ -279,36 +270,11 @@ let event_to_json ev =
         ("riscv", J.Str (verdict_string d.riscv));
       ]
 
-let to_csv t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf csv_header;
-  List.iter (fun ev -> Buffer.add_string buf (event_row ev)) (events t);
-  Buffer.contents buf
-
-let to_journal_string t =
+let to_string t =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (magic ^ "\n");
   List.iter (fun ev -> Buffer.add_string buf (frame (event_payload ev))) (events t);
   Buffer.contents buf
-
-(* Checkpoints are written atomically: the content lands in a temp file in
-   the destination directory and is renamed over the target, so a crash
-   mid-checkpoint leaves either the old complete file or the new one,
-   never a torn hybrid. *)
-let write_atomic ~path content =
-  let dir = Filename.dirname path in
-  let tmp = Filename.temp_file ~temp_dir:dir ".scamv-journal" ".tmp" in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
-    (fun () ->
-      let oc = open_out_bin tmp in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () -> output_string oc content);
-      Sys.rename tmp path)
-
-let write_csv t ~path = write_atomic ~path (to_csv t)
-let write_journal t ~path = write_atomic ~path (to_journal_string t)
 
 (* ---- parsing ---- *)
 
@@ -429,26 +395,11 @@ let event_of_fields fields =
       (Parse_error
          (Printf.sprintf "expected 13 fields, got %d" (List.length fields)))
 
-let of_csv content =
-  let t = create () in
-  (match parse_records content with
-  | [] -> ()
-  | header :: rows ->
-    (match header with
-    | "campaign" :: "kind" :: _ -> ()
-    | _ -> raise (Parse_error "missing journal CSV header"));
-    List.iter
-      (fun fields ->
-        (* Tolerate a trailing blank record from a final newline. *)
-        match fields with [ "" ] | [] -> () | _ -> record_event t (event_of_fields fields))
-      rows);
-  t
-
-(* ---- v2 parsing with tail recovery ---- *)
+(* ---- loading with tail recovery ---- *)
 
 type recovery = { records : int; dropped_bytes : int }
 
-let is_v2 content =
+let is_journal content =
   let m = magic ^ "\n" in
   String.length content >= String.length m
   && String.sub content 0 (String.length m) = m
@@ -458,7 +409,7 @@ let is_v2 content =
    once one record is suspect, nothing after it can be trusted to align,
    and resume semantics only need a clean prefix (the campaign re-runs
    everything from the first damaged program). *)
-let parse_v2 content =
+let parse_framed content =
   let t = create () in
   let n = String.length content in
   let pos = ref (String.length magic + 1) in
@@ -499,25 +450,9 @@ let parse_v2 content =
   (t, { records = !records; dropped_bytes = n - !pos })
 
 let of_string content =
-  if is_v2 content then begin
-    let t, recovery = parse_v2 content in
-    if recovery.dropped_bytes > 0 then
-      raise
-        (Parse_error
-           (Printf.sprintf "corrupt journal tail: %d trailing byte(s) after %d clean record(s)"
-              recovery.dropped_bytes recovery.records));
-    t
-  end
-  else of_csv content
-
-let of_string_tolerant content =
-  if is_v2 content then parse_v2 content
-  else
-    (* v1 CSV checkpoints are only ever written atomically and completely
-       (write_csv), so there is no torn tail to recover from: parse
-       strictly and report a clean recovery. *)
-    let t = of_csv content in
-    (t, { records = List.length (events t); dropped_bytes = 0 })
+  if content = "" then (create (), { records = 0; dropped_bytes = 0 })
+  else if is_journal content then parse_framed content
+  else raise (Parse_error ("not a journal: missing \"" ^ magic ^ "\" magic line"))
 
 let read_file path =
   let ic = open_in_bin path in
@@ -525,5 +460,4 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
-let read_csv ~path = of_string (read_file path)
-let load ~path = of_string_tolerant (read_file path)
+let load ~path = of_string (read_file path)

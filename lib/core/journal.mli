@@ -5,13 +5,15 @@
     persists itself incrementally to disk and can be loaded back, which is
     the basis of campaign checkpoint/resume.
 
-    On-disk format (v2): a magic first line, then one framed record per
-    event — [R <length> <crc32>\n<csv-row>\n].  The length prefix and
-    checksum make a torn or corrupted tail {e detectable}: {!load} keeps
-    the longest clean prefix and reports what it dropped, so a campaign
-    SIGKILLed mid-write still leaves a usable checkpoint (see DESIGN.md,
-    "Failure domains and supervision").  v1 plain-CSV checkpoints (the
-    {!to_csv}/{!write_csv} snapshot format) are still read transparently.
+    Format: a magic first line ([scamv-journal v2]), then one framed
+    record per event — [R <length> <crc32>\n<csv-row>\n].  The length
+    prefix and checksum make a torn or corrupted tail {e detectable}:
+    {!load} keeps the longest clean prefix and reports what it dropped, so
+    a campaign SIGKILLed mid-write still leaves a usable checkpoint (see
+    DESIGN.md, "Failure domains and supervision").  The same bytes are the
+    in-memory rendering ({!to_string}).  CSV rows are quote-aware: the
+    free-form campaign, template and reason fields may hold commas, double
+    quotes and newlines.
 
     Thread-safety: a journal buffers records and owns an output channel
     with no internal locking.  In a parallel campaign it is only ever
@@ -35,7 +37,7 @@ type entry = {
       (** guest ISA the experiment ran on.  On disk the ISA is a 14th CSV
           column appended only for non-AArch64 rows: AArch64 rows keep the
           historical 13-field bytes, and 13-field rows load as
-          [Aarch64] — old journals remain readable and byte-stable. *)
+          [Aarch64]. *)
 }
 
 type event =
@@ -59,7 +61,7 @@ type event =
       riscv : Scamv_microarch.Executor.verdict;
     }
       (** a differential campaign found the two ISAs disagreeing on a path
-          pair's verdict (see {!Diff}).  In CSV the AArch64 verdict
+          pair's verdict (see {!Diff}).  In the CSV row the AArch64 verdict
           occupies the verdict column and the RISC-V verdict the reason
           column. *)
 
@@ -106,54 +108,28 @@ val event_to_json : event -> Scamv_util.Json.t
     a pure function of the event, so a server-streamed campaign can be
     checked byte-for-byte against a batch run's journal. *)
 
-val to_csv : t -> string
-(** v1 snapshot: header plus one CSV row per event; fields are
-    comma-separated, free-form strings (campaign, template, reason)
-    quoted. *)
-
-val to_journal_string : t -> string
-(** v2 snapshot: magic line plus one framed, checksummed record per
-    event — the same bytes incremental persistence writes. *)
-
-val write_csv : t -> path:string -> unit
-(** Atomic checkpoint (temp file + rename) of {!to_csv}: a crash mid-write
-    leaves either the previous complete file or the new one, never a torn
-    hybrid. *)
-
-val write_journal : t -> path:string -> unit
-(** Atomic checkpoint of {!to_journal_string}. *)
+val to_string : t -> string
+(** The journal's bytes: magic line plus one framed, checksummed record
+    per event — exactly what incremental persistence writes. *)
 
 exception Parse_error of string
-
-val of_csv : string -> t
-(** Parse a v1 CSV journal back from {!to_csv} output.  Quoting of
-    embedded commas, double quotes and newlines round-trips.
-    @raise Parse_error on malformed input. *)
-
-val of_string : string -> t
-(** Strict parse of either format (auto-detected by the magic line).
-    @raise Parse_error on any malformation, including a torn v2 tail. *)
-
-val read_csv : path:string -> t
-(** Load a journal (either format) from disk, strictly. *)
 
 type recovery = {
   records : int;  (** clean records recovered *)
   dropped_bytes : int;  (** torn/corrupt tail bytes dropped (0 = clean) *)
 }
 
-val of_string_tolerant : string -> t * recovery
-(** Tolerant parse: for v2 content, keep the longest clean prefix of
-    framed records and drop the rest — a truncated final record, a flipped
-    checksum byte, or an empty file all yield a usable journal.  The scan
-    stops at the {e first} damaged record (no skipping forward): once one
-    record is suspect nothing after it is trusted, and resume only needs a
-    clean prefix.  v1 content is parsed strictly (it is only ever written
-    atomically, so there is no torn tail to tolerate).
-    @raise Parse_error only for malformed v1 content. *)
+val of_string : string -> t * recovery
+(** Tolerant load: keep the longest clean prefix of framed records and
+    drop the rest — a truncated final record or a flipped checksum byte
+    still yields a usable journal.  The scan stops at the {e first}
+    damaged record (no skipping forward): once one record is suspect
+    nothing after it is trusted, and resume only needs a clean prefix.
+    Empty content loads as an empty journal.
+    @raise Parse_error when non-empty content lacks the magic line. *)
 
 val load : path:string -> t * recovery
-(** {!of_string_tolerant} on a file — the [--resume] entry point. *)
+(** {!of_string} on a file — the [--resume] entry point. *)
 
 val pp_verdict : Format.formatter -> Scamv_microarch.Executor.verdict -> unit
 

@@ -57,7 +57,7 @@ type t = {
   idle : Condition.t;  (** broadcast when a runner finishes a session *)
   tenants : (string, Tenant.t) Hashtbl.t;
   sessions : (string, Session.t) Hashtbl.t;
-  slices : Pool.sliced;
+  slices : Pool.t array;  (** one persistent pool per runner slot *)
   mutable rr : string list;  (** tenant round-robin order *)
   mutable submitted : int;  (** global submission counter *)
   mutable stopping : bool;
@@ -83,12 +83,24 @@ let concurrency t = t.concurrency
 
 (* ---- persistence ---- *)
 
+(* Temp file + rename: a crash mid-write leaves the previous complete meta
+   file, never a torn one.  A failed write closes the channel and removes
+   the temp file before the exception propagates. *)
 let write_atomic path content =
   let tmp = path ^ ".tmp" in
-  let oc = open_out_bin tmp in
-  output_string oc content;
-  close_out oc;
-  Sys.rename tmp path
+  match
+    let oc = open_out_bin tmp in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc content;
+        close_out oc);
+    Sys.rename tmp path
+  with
+  | () -> ()
+  | exception exn ->
+    (try Sys.remove tmp with Sys_error _ -> ());
+    raise exn
 
 let persist_meta s =
   match s.Session.meta_path with
@@ -197,7 +209,7 @@ let finish_counter = function
   | _ -> "service.campaigns.failed"
 
 let run_session t s ~slot =
-  let pool = Pool.slice t.slices slot in
+  let pool = t.slices.(slot) in
   Session.set_state s Session.Running;
   persist_meta s;
   (let on_event m = Session.push_line s (Session.progress_line m) in
@@ -409,8 +421,10 @@ let create ?(config = default_config) ?(start = true) () =
       tenants = Hashtbl.create 8;
       sessions = Hashtbl.create 32;
       slices =
-        Pool.create_sliced ~total:(Pool.resolve_jobs config.jobs)
-          ~slices:concurrency;
+        Array.map
+          (fun size -> Pool.create ~size)
+          (Pool.slice_widths ~total:(Pool.resolve_jobs config.jobs)
+             ~slices:concurrency);
       rr = [];
       submitted = 0;
       stopping = false;
@@ -561,12 +575,12 @@ let metrics_snapshot t =
       in
       let m =
         Metrics.set_gauge "scheduler.slices"
-          (float_of_int (Pool.slice_count t.slices))
+          (float_of_int (Array.length t.slices))
           m
       in
       let m =
         Metrics.set_gauge "scheduler.slice_width"
-          (float_of_int (Pool.slice_width t.slices 0))
+          (float_of_int (Pool.size t.slices.(0)))
           m
       in
       let m =
@@ -612,5 +626,5 @@ let shutdown t =
   if proceed then begin
     List.iter Thread.join t.runners;
     t.runners <- [];
-    Pool.shutdown_sliced t.slices
+    Array.iter Pool.shutdown t.slices
   end

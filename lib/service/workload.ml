@@ -1,9 +1,10 @@
 (* The named workload catalogue: every (template, setup) pair a campaign
    request may name, resolved to the generator / refinement / executor
-   view the campaign driver needs.  Shared by the batch CLI and the
-   validation service so a campaign submitted over the wire is constructed
-   exactly like one launched from the command line — the prerequisite for
-   streamed artifacts being byte-identical to a batch run. *)
+   view the campaign driver needs.  The only copy: the batch CLI, the
+   validation service and the benchmarks all resolve names here, so a
+   campaign submitted over the wire is constructed exactly like one
+   launched from the command line — the prerequisite for streamed
+   artifacts being byte-identical to a batch run. *)
 
 module Platform = Scamv_isa.Platform
 module Executor = Scamv_microarch.Executor
@@ -60,8 +61,7 @@ let lookup_template ?isa name =
   | t -> Ok t
   | exception Invalid_argument msg -> Error msg
 
-(* The batch CLI's campaign-name formula.  Journal records embed this
-   name, so the service must use the identical spelling for its streams to
-   match batch output byte for byte. *)
+(* The campaign-name formula.  Journal records embed this name, and a
+   resume journal must carry it, so every front end spells it the same. *)
 let campaign_name ~setup ~template =
   Printf.sprintf "%s on template %s" setup template

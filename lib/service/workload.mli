@@ -5,6 +5,12 @@
     with the same formula, a served campaign is constructed exactly like
     a batch one — the prerequisite for byte-identical artifacts. *)
 
+val platform : Scamv_isa.Platform.t
+(** The platform every setup is built for (Cortex-A53). *)
+
+val region : Scamv_models.Region.t
+(** The paper's unaligned cache partition the [mpart] setups watch. *)
+
 val setups : (string * (unit -> Scamv_models.Refinement.t)) list
 val setup_names : string list
 
@@ -22,5 +28,5 @@ val view_for : string -> Scamv_microarch.Executor.view
     watch their cache region, the rest the full cache). *)
 
 val campaign_name : setup:string -> template:string -> string
-(** The batch CLI's campaign-name formula; journal records embed it, so
-    the service must use the identical spelling. *)
+(** The campaign-name formula; journal records embed it, so every front
+    end must use the identical spelling ([--resume] checks it). *)

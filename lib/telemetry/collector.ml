@@ -7,8 +7,8 @@
    (instrumented code throughout the tree records into whatever collector
    is current, or does nothing when none is), and return its frozen
    {!report}.  The consumer merges reports strictly in program order, so
-   the merged registry and span stream compose with
-   [Scamv_util.Pool.run_ordered] and do not depend on the number of
+   the merged registry and span stream compose with the index-ordered
+   [Scamv_util.Pool] batch protocol and do not depend on the number of
    worker domains.
 
    All timestamps come from the collector's injectable

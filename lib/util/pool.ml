@@ -8,15 +8,12 @@
    workers complete in, so any state folded over the results (journals,
    statistics, output files) is identical to a sequential run.
 
-   Two lifecycles share that engine:
-
-   - [run_supervised] / [run_ordered]: one batch, domains spawned for the
-     call and joined before it returns (the original batch API).
-   - a {e persistent} pool ([create] / [exec] / [shutdown]): domains are
-     spawned once and then sleep between batches, so a long-running
-     service can run many campaigns on the same warmed-up pool and stop it
-     cleanly at the end.  [exec] runs exactly the same supervised batch
-     protocol; batches are serialized (one at a time per pool).
+   One engine, the {e persistent} pool ([create] / [exec] / [shutdown]):
+   domains are spawned once and then sleep between batches, so a
+   long-running service can run many campaigns on the same warmed-up pool
+   and stop it cleanly at the end; batches are serialized (one at a time
+   per pool).  [run_supervised] is one batch on a pool created for the
+   call and shut down before it returns.
 
    Supervision: a worker exception is captured as a per-item [Error] and
    delivered to the consumer in the item's index position — it is never
@@ -41,11 +38,9 @@ type 'a cell =
   | Done of 'a
   | Failed of failure
 
-let default_jobs () = Domain.recommended_domain_count ()
-
 let resolve_jobs jobs =
   if jobs < 0 then invalid_arg "Pool: jobs must be >= 0"
-  else if jobs = 0 then default_jobs ()
+  else if jobs = 0 then Domain.recommended_domain_count ()
   else jobs
 
 (* ---- persistent pool ---- *)
@@ -258,15 +253,13 @@ let shutdown pool =
 
 (* ---- deterministic slicing ---- *)
 
-(* A sliced pool partitions a global worker budget into [slices] fixed
-   sub-pools so independent campaigns can run concurrently, each on its
-   own slice, without sharing batch state.  The widths are a pure
-   function of (total, slices) — never of arrival timing — so a given
-   slice index always commands the same worker count; combined with the
-   index-ordered batch protocol this keeps every campaign's output
-   byte-identical whatever else runs beside it. *)
-
-type sliced = { members : t array }
+(* A worker budget split into [slices] fixed pools lets independent
+   campaigns run concurrently, each on its own pool, without sharing
+   batch state.  The widths are a pure function of (total, slices) —
+   never of arrival timing — so a given slice index always commands the
+   same worker count; combined with the index-ordered batch protocol this
+   keeps every campaign's output byte-identical whatever else runs beside
+   it. *)
 
 let slice_widths ~total ~slices =
   if total < 1 then invalid_arg "Pool.slice_widths: total must be >= 1";
@@ -278,18 +271,7 @@ let slice_widths ~total ~slices =
   let base = total / slices and rem = total mod slices in
   Array.init slices (fun s -> max 1 (base + if s < rem then 1 else 0))
 
-let create_sliced ~total ~slices =
-  {
-    members =
-      Array.map (fun w -> create ~size:w) (slice_widths ~total ~slices);
-  }
-
-let slice sl i = sl.members.(i)
-let slice_count sl = Array.length sl.members
-let slice_width sl i = sl.members.(i).size
-let shutdown_sliced sl = Array.iter shutdown sl.members
-
-(* ---- one-shot batch API ---- *)
+(* ---- one-shot batch ---- *)
 
 let run_supervised ~jobs ~tasks ?fatal ?on_restart ~worker ~consume () =
   if tasks < 0 then invalid_arg "Pool.run_supervised: tasks must be >= 0";
@@ -301,27 +283,3 @@ let run_supervised ~jobs ~tasks ?fatal ?on_restart ~worker ~consume () =
       ~finally:(fun () -> shutdown pool)
       (fun () -> exec pool ~tasks ?fatal ?on_restart ~worker ~consume ())
   end
-
-let run_ordered ~jobs ~tasks ~worker ~consume =
-  run_supervised ~jobs ~tasks ~worker
-    ~consume:(fun i -> function
-      | Ok v -> consume i v
-      | Error { exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace)
-    ()
-
-let map ~jobs f n =
-  if n < 0 then invalid_arg "Pool.map: n must be >= 0";
-  if n = 0 then [||]
-  else begin
-    let results = ref [] in
-    run_ordered ~jobs ~tasks:n ~worker:f ~consume:(fun _ v ->
-        results := v :: !results);
-    (* consume runs in index order, so the reversed accumulator is 0..n-1 *)
-    let arr = Array.make n (List.hd !results) in
-    List.iteri (fun k v -> arr.(n - 1 - k) <- v) !results;
-    arr
-  end
-
-let map_list ~jobs f xs =
-  let arr = Array.of_list xs in
-  Array.to_list (map ~jobs (fun i -> f arr.(i)) (Array.length arr))

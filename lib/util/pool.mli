@@ -12,19 +12,16 @@
     always runs on the calling domain, one call at a time, in index order,
     and is the only place that may touch shared state.
 
-    Two lifecycles expose the same batch engine: the one-shot calls
-    ({!run_supervised}, {!run_ordered}, {!map}) spawn domains for the call
-    and join them before returning, while a {e persistent} pool
-    ({!create} / {!exec} / {!shutdown}) keeps its domains parked between
-    batches so a long-running service can run many campaigns on one
-    warmed-up pool — see DESIGN.md Sec. 10. *)
-
-val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()]. *)
+    One batch engine: a {e persistent} pool ({!create} / {!exec} /
+    {!shutdown}) keeps its domains parked between batches so a
+    long-running service can run many campaigns on one warmed-up pool —
+    see DESIGN.md Sec. 10.  {!run_supervised} is the one-shot form: one
+    batch on a pool created for the call and shut down before it
+    returns. *)
 
 val resolve_jobs : int -> int
-(** Normalizes a [--jobs] style argument: [0] means {!default_jobs},
-    positive values pass through.
+(** Normalizes a [--jobs] style argument: [0] means all cores
+    ([Domain.recommended_domain_count ()]), positive values pass through.
     @raise Invalid_argument on negative values. *)
 
 type failure = { exn : exn; backtrace : Printexc.raw_backtrace }
@@ -80,35 +77,19 @@ val shutdown : t -> unit
 
 (** {2 Deterministic slicing}
 
-    A sliced pool partitions a global worker budget of [total] domains
-    into [slices] independent sub-pools, so a service can execute
-    several campaigns concurrently — each on its own slice — while every
-    campaign keeps the byte-identical-output guarantee of the batch
-    protocol.  Widths are a pure function of [(total, slices)]: an even
-    split with the remainder on the lowest slice indices, floored at one
-    worker per slice (oversubscribed configurations degrade to width-1
-    inline slices).  Slice [i] therefore always commands the same worker
-    count, independent of what the other slices are doing. *)
-
-type sliced
-(** A fixed partition of worker domains into independent pools. *)
+    A service executes several campaigns concurrently by partitioning a
+    global budget of [total] worker domains into [slices] independent
+    persistent pools, one per slice, while every campaign keeps the
+    byte-identical-output guarantee of the batch protocol. *)
 
 val slice_widths : total:int -> slices:int -> int array
 (** The deterministic partition: [slice_widths ~total ~slices].(i) is
-    the worker count of slice [i].
+    the worker count of slice [i] — an even split with the remainder on
+    the lowest slice indices, floored at one worker per slice
+    (oversubscribed configurations degrade to width-1 inline slices).  A
+    pure function of [(total, slices)], so slice [i] always commands the
+    same worker count, whatever the other slices are doing.
     @raise Invalid_argument when [total < 1] or [slices < 1]. *)
-
-val create_sliced : total:int -> slices:int -> sliced
-(** Spawn one persistent pool per slice, sized by {!slice_widths}. *)
-
-val slice : sliced -> int -> t
-(** The slice's own pool; pass it to [Campaign.run ~pool]. *)
-
-val slice_count : sliced -> int
-val slice_width : sliced -> int -> int
-
-val shutdown_sliced : sliced -> unit
-(** {!shutdown} every slice.  Idempotent. *)
 
 (** {2 One-shot batches} *)
 
@@ -121,10 +102,13 @@ val run_supervised :
   consume:(int -> ('a, failure) result -> unit) ->
   unit ->
   unit
-(** Supervised variant of {!run_ordered}: a worker exception is captured
-    as a per-item [Error] and handed to [consume] at the item's index —
-    the pool itself never re-raises it, so one crashing item cannot abort
-    the remaining work.
+(** [run_supervised ~jobs ~tasks ~worker ~consume ()] computes [worker i]
+    for every [i] in [0..tasks-1] on [min jobs tasks] domains ([jobs = 0]
+    = all cores) and calls [consume i result] on the calling domain in
+    increasing [i] — {!create}, one {!exec}, {!shutdown}.  A worker
+    exception is captured as a per-item [Error] and handed to [consume]
+    at the item's index — the pool itself never re-raises it, so one
+    crashing item cannot abort the remaining work.
 
     [fatal] (default [fun _ -> false]) classifies exceptions that should
     be treated as a {e worker-domain crash}: the domain that hit one exits
@@ -137,41 +121,13 @@ val run_supervised :
     where no domain exists but [on_restart] still fires).  Non-fatal
     exceptions leave the worker domain alive and pulling further items.
 
-    Drain order (also the contract of {!run_ordered}): [consume] observes
-    items [0, 1, 2, ...] with no gaps; every {e taken} index is always
-    filled (workers deposit their result or failure before exiting for any
-    reason), so the consumer never waits on a slot that no live or future
-    domain will fill.  If [consume] itself raises at index [i], items
+    Drain order: [consume] observes items [0, 1, 2, ...] with no gaps;
+    every {e taken} index is always filled (workers deposit their result
+    or failure before exiting for any reason), so the consumer never
+    waits on a slot that no live or future domain will fill.  If [consume] itself raises at index [i], items
     [< i] have been fully consumed, no new item is started, in-flight
     items run to completion, and every domain is joined before the
     exception propagates — the pool is never left wedged.
 
     With [jobs = 1] everything runs sequentially on the calling domain
     with no domain spawned. *)
-
-val run_ordered :
-  jobs:int ->
-  tasks:int ->
-  worker:(int -> 'a) ->
-  consume:(int -> 'a -> unit) ->
-  unit
-(** [run_ordered ~jobs ~tasks ~worker ~consume] computes [worker i] for
-    every [i] in [0..tasks-1] on [jobs] domains ([0] = all cores) and calls
-    [consume i result] on the calling domain in increasing [i].
-
-    With [jobs = 1] everything runs sequentially on the calling domain
-    with no domain spawned ([worker 0], [consume 0], [worker 1], ...).
-
-    An exception raised by [worker i] is re-raised (with its original
-    backtrace) from the consumer at position [i]; an exception from either
-    side cancels the remaining items under the drain-order contract of
-    {!run_supervised} — workers finish their in-flight item and exit, all
-    domains are joined — before the exception propagates, so a failing
-    item never wedges the pool. *)
-
-val map : jobs:int -> (int -> 'a) -> int -> 'a array
-(** [map ~jobs f n] is [[| f 0; ...; f (n-1) |]] computed on [jobs]
-    domains. *)
-
-val map_list : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-(** [map_list ~jobs f xs] is [List.map f xs] computed on [jobs] domains. *)

@@ -86,11 +86,11 @@ let test_worker_kills_jobs_independent () =
      program index, never on the schedule. *)
   let go jobs =
     let journal, outcome, events = run ~jobs (cfg ~chaos:(kill_chaos ()) ~programs:6 ()) in
-    (Journal.to_csv journal, outcome.Campaign.stats, events, counter outcome "pool.restarts")
+    (Journal.to_string journal, outcome.Campaign.stats, events, counter outcome "pool.restarts")
   in
-  let csv1, stats1, events1, restarts1 = go 1 in
-  let csv3, stats3, events3, restarts3 = go 3 in
-  Alcotest.(check string) "journal byte-identical" csv1 csv3;
+  let journal1, stats1, events1, restarts1 = go 1 in
+  let journal3, stats3, events3, restarts3 = go 3 in
+  Alcotest.(check string) "journal byte-identical" journal1 journal3;
   Alcotest.(check bool) "stats identical" true (Stdlib.compare stats1 stats3 = 0);
   Alcotest.(check (Alcotest.list Alcotest.string)) "progress identical" events1 events3;
   Alcotest.(check Alcotest.int) "restarts identical" restarts1 restarts3
@@ -111,8 +111,8 @@ let test_chaos_campaign_resume_redraws_faults () =
   let journal_resumed, resumed, _ = run ~resume:path ~jobs:1 (mk ()) in
   let journal_full, full, _ = run ~jobs:1 (mk ()) in
   Alcotest.(check string) "journal identical after resume"
-    (Journal.to_csv journal_full)
-    (Journal.to_csv journal_resumed);
+    (Journal.to_string journal_full)
+    (Journal.to_string journal_resumed);
   Alcotest.(check bool) "stats identical after resume" true
     (Stdlib.compare full.Campaign.stats resumed.Campaign.stats = 0);
   Alcotest.(check bool) "tail recovery counted" true
@@ -218,11 +218,11 @@ let test_deadline_jobs_independent () =
     let journal, outcome, events =
       run ~jobs (cfg ~deadline:(Deadline.Conflicts 150) ~programs:6 ~tests:3 ())
     in
-    (Journal.to_csv journal, outcome.Campaign.stats, events)
+    (Journal.to_string journal, outcome.Campaign.stats, events)
   in
-  let csv1, stats1, events1 = go 1 in
-  let csv2, stats2, events2 = go 2 in
-  Alcotest.(check string) "journal byte-identical" csv1 csv2;
+  let journal1, stats1, events1 = go 1 in
+  let journal2, stats2, events2 = go 2 in
+  Alcotest.(check string) "journal byte-identical" journal1 journal2;
   Alcotest.(check bool) "stats identical" true (Stdlib.compare stats1 stats2 = 0);
   Alcotest.(check (Alcotest.list Alcotest.string)) "progress identical" events1 events2
 

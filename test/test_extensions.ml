@@ -267,13 +267,14 @@ let test_journal_accumulates () =
 let test_journal_csv_shape () =
   let j = Journal.create () in
   Journal.record j (sample_entry 0 Executor.Distinguishable);
-  let csv = Journal.to_csv j in
-  let lines = String.split_on_char '\n' (String.trim csv) in
-  Alcotest.(check Alcotest.int) "header + 1 row" 2 (List.length lines);
+  let lines = String.split_on_char '\n' (String.trim (Journal.to_string j)) in
+  Alcotest.(check Alcotest.int) "magic + frame header + 1 row" 3 (List.length lines);
   Alcotest.(check bool) "verdict in row" true
     (match lines with
-    | [ _; row ] ->
-      List.exists (String.equal "distinguishable") (String.split_on_char ',' row)
+    | [ magic; header; row ] ->
+      magic = "scamv-journal v2"
+      && String.starts_with ~prefix:(Printf.sprintf "R %d " (String.length row)) header
+      && List.exists (String.equal "distinguishable") (String.split_on_char ',' row)
     | _ -> false)
 
 let test_journal_from_campaign () =

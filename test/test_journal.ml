@@ -35,24 +35,26 @@ let events_equal j1 j2 =
     (fun a b -> Alcotest.(check bool) "event round-trips" true (a = b))
     (Journal.events j1) (Journal.events j2)
 
-(* ---- CSV round-trip ---- *)
+(* ---- journal round-trip (CSV payload rules) ---- *)
+
+let roundtrip j = fst (Journal.of_string (Journal.to_string j))
 
 let test_roundtrip_plain () =
   let j = Journal.create () in
   Journal.record j (entry 0 Executor.Distinguishable);
   Journal.record j (entry ~retries:2 ~faults:3 1 Executor.Indistinguishable);
   Journal.record j (entry 2 Executor.Inconclusive);
-  events_equal j (Journal.of_csv (Journal.to_csv j))
+  events_equal j (roundtrip j)
 
 let test_roundtrip_quoting () =
   (* Campaign/template names with commas, quotes and even newlines must
-     survive the CSV round trip unchanged. *)
+     survive the journal round trip unchanged. *)
   let j = Journal.create () in
   Journal.record j
     (entry ~campaign:"mct, refined \"v2\"" ~template:"A,B\"C\"" 0
        Executor.Distinguishable);
   Journal.record j (entry ~campaign:"multi\nline" 1 Executor.Inconclusive);
-  let j' = Journal.of_csv (Journal.to_csv j) in
+  let j' = roundtrip j in
   events_equal j j';
   match Journal.entries j' with
   | [ e0; e1 ] ->
@@ -75,13 +77,30 @@ let test_roundtrip_fault_events () =
   Journal.record_event j
     (Journal.Program_failed
        { campaign = "c"; program_index = 1; reason = "Failure(\"synth, diverged\")" });
-  let j' = Journal.of_csv (Journal.to_csv j) in
+  let j' = roundtrip j in
   events_equal j j';
   Alcotest.(check Alcotest.int) "experiments only" 1 (Journal.length j')
 
-let test_of_csv_rejects_garbage () =
-  Alcotest.check_raises "missing header" (Journal.Parse_error "missing journal CSV header")
-    (fun () -> ignore (Journal.of_csv "not,a,journal\n1,2,3\n"))
+let test_of_string_rejects_garbage () =
+  (* Only framed journals load: a v1 CSV snapshot (header plus bare rows,
+     a format no longer written) and any other text without the magic
+     line are refused outright rather than half-parsed. *)
+  let not_a_journal =
+    Journal.Parse_error "not a journal: missing \"scamv-journal v2\" magic line"
+  in
+  let v1_snapshot =
+    "campaign,kind,program,test,template,path1,path2,verdict,gen_seconds,exe_seconds,retries,faults,reason\n\
+     \"c\",experiment,0,0,\"A\",0,1,distinguishable,0.125000,0.500000,0,0,\n"
+  in
+  List.iter
+    (fun (what, content) ->
+      Alcotest.check_raises what not_a_journal (fun () ->
+          ignore (Journal.of_string content)))
+    [
+      ("v1 csv snapshot", v1_snapshot);
+      ("other text", "not,a,journal\n1,2,3\n");
+      ("torn magic line", "scamv-jour");
+    ]
 
 (* ---- incremental persistence ---- *)
 
@@ -97,13 +116,17 @@ let test_incremental_persistence () =
   Journal.record j (entry 1 Executor.Inconclusive);
   (* Rows are flushed as they are recorded: the on-disk checkpoint must be
      loadable *before* the journal is closed, as after a kill. *)
-  let loaded = Journal.read_csv ~path in
+  let loaded, recovery = Journal.load ~path in
+  Alcotest.(check Alcotest.int) "clean while open" 0 recovery.Journal.dropped_bytes;
   events_equal j loaded;
   Journal.record_event j
     (Journal.Quarantined
        { campaign = "c"; program_index = 2; pair = (0, 1); reason = "budget" });
   Journal.close j;
-  events_equal j (Journal.read_csv ~path)
+  events_equal j (fst (Journal.load ~path));
+  (* the file holds exactly the in-memory rendering *)
+  Alcotest.(check string) "file bytes = to_string" (Journal.to_string j)
+    (In_channel.with_open_bin path In_channel.input_all)
 
 (* ---- crash-safe journal format (v2) ---- *)
 
@@ -134,8 +157,9 @@ let test_v2_roundtrip () =
     Alcotest.(check Alcotest.int) "crashed index" 2 program_index;
     Alcotest.(check string) "crashed reason" "worker killed" reason
   | _ -> Alcotest.fail "crashed event lost");
-  (* read_csv (strict) also auto-detects the v2 format on a clean file. *)
-  events_equal j (Journal.read_csv ~path)
+  (* the loaded journal renders back to the file's exact bytes *)
+  Alcotest.(check string) "to_string reproduces the file" (read_file path)
+    (Journal.to_string j)
 
 let test_v2_truncated_final_record_recovers () =
   let path = v2_fixture () in
@@ -144,11 +168,7 @@ let test_v2_truncated_final_record_recovers () =
   let j, recovery = Journal.load ~path in
   Alcotest.(check Alcotest.int) "clean prefix kept" 3 recovery.Journal.records;
   Alcotest.(check bool) "drop reported" true (recovery.Journal.dropped_bytes > 0);
-  Alcotest.(check Alcotest.int) "three events" 3 (List.length (Journal.events j));
-  (* The strict loader refuses the same file. *)
-  match Journal.read_csv ~path with
-  | exception Journal.Parse_error _ -> ()
-  | _ -> Alcotest.fail "strict read accepted a torn tail"
+  Alcotest.(check Alcotest.int) "three events" 3 (List.length (Journal.events j))
 
 let test_v2_flipped_checksum_byte_recovers () =
   let path = v2_fixture () in
@@ -169,6 +189,7 @@ let test_v2_zero_length_file_recovers () =
   write_file path "";
   let j, recovery = Journal.load ~path in
   Alcotest.(check Alcotest.int) "no records" 0 recovery.Journal.records;
+  Alcotest.(check Alcotest.int) "nothing dropped" 0 recovery.Journal.dropped_bytes;
   Alcotest.(check Alcotest.int) "no events" 0 (List.length (Journal.events j))
 
 let test_isa_tail_compat () =
@@ -468,10 +489,10 @@ let test_campaign_resume_matches_uninterrupted () =
       events
   in
   Alcotest.(check bool) "kill point is mid-campaign" true !seen_two;
-  let ckpt = Journal.create () in
+  let path = temp_path ".ckpt.journal" in
+  let ckpt = Journal.create ~path () in
   List.iter (Journal.record_event ckpt) partial;
-  let path = temp_path ".ckpt.csv" in
-  Journal.write_csv ckpt ~path;
+  Journal.close ckpt;
   let resumed_journal = Journal.create () in
   let resumed = Campaign.run ~journal:resumed_journal ~resume:path cfg in
   Alcotest.(check bool) "final stats identical" true
@@ -521,6 +542,133 @@ let test_campaign_resume_from_missing_file_is_fresh_run () =
   Alcotest.(check bool) "identical stats" true
     (counts fresh.Campaign.stats = counts resumed.Campaign.stats)
 
+(* The progress stream of a resumed campaign, pinned from the
+   uninterrupted run: replayed programs are folded silently (no
+   quarantine, first-counterexample or every-25-programs lines), then the
+   "resumed at" banner, then exactly the lines the uninterrupted run
+   printed for the re-run programs — including a 25/28 line whose counts
+   include the replayed programs' experiments. *)
+let quarantined k =
+  Printf.sprintf
+    "[resume-lines] program %d: quarantined path pair (0,0): SAT budget \
+     exceeded after 0 model(s) (conflicts<=150)"
+    k
+
+let uninterrupted_lines =
+  [ "[resume-lines] first counterexample after 0.00s (program 0, test 0)" ]
+  @ List.map quarantined [ 2; 3; 4; 6; 15; 17; 20; 22; 23 ]
+  @ [
+      "[resume-lines] 25/28 programs, 32 experiments, 12 counterexamples";
+      quarantined 26;
+    ]
+
+let resumed_lines =
+  [
+    ( 3,
+      "[resume-lines] resumed at program 3 (5 events replayed)"
+      :: List.map quarantined [ 3; 4; 6; 15; 17; 20; 22; 23 ]
+      @ [
+          "[resume-lines] 25/28 programs, 32 experiments, 12 counterexamples";
+          quarantined 26;
+        ] );
+    ( 26,
+      [
+        "[resume-lines] resumed at program 26 (43 events replayed)";
+        quarantined 26;
+      ] );
+  ]
+
+let lines_cfg () =
+  Campaign.make ~name:"resume-lines" ~template:(Templates.by_name "A")
+    ~setup:(Refinement.mct_vs_mspec ()) ~programs:28 ~tests_per_program:2
+    ~seed:2021L ~sat_budget:(Sat.budget ~conflicts:150 ())
+    ~retry:(Retry.make ~max_attempts:3 ())
+    ~faults:(Faults.config ~rate:0.1 ~seed:7L ())
+    ~clock:Scamv_util.Stopwatch.frozen ()
+
+let test_campaign_resume_progress_lines () =
+  let run ?resume () =
+    let lines = ref [] in
+    let journal = Journal.create () in
+    let (_ : Campaign.outcome) =
+      Campaign.run ~on_event:(fun m -> lines := m :: !lines) ~journal ?resume
+        (lines_cfg ())
+    in
+    (List.rev !lines, journal)
+  in
+  let full_lines, full_journal = run () in
+  Alcotest.(check (list string)) "uninterrupted lines" uninterrupted_lines full_lines;
+  List.iter
+    (fun (cut, expected) ->
+      (* Checkpoint: programs < cut complete, program [cut] torn after its
+         first event. *)
+      let path = temp_path ".lines.journal" in
+      let ckpt = Journal.create ~path () in
+      let seen = ref false in
+      List.iter
+        (fun ev ->
+          let i = Journal.event_program_index ev in
+          if i < cut || (i = cut && not !seen) then begin
+            if i = cut then seen := true;
+            Journal.record_event ckpt ev
+          end)
+        (Journal.events full_journal);
+      Journal.close ckpt;
+      let lines, resumed_journal = run ~resume:path () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "resumed at %d" cut)
+        expected lines;
+      Alcotest.(check string)
+        (Printf.sprintf "resumed at %d: journal identical" cut)
+        (Journal.to_string full_journal)
+        (Journal.to_string resumed_journal))
+    resumed_lines
+
+(* --resume with another campaign's journal must fail before any program
+   runs, name the mismatching field, and leave the journal file (here
+   also the --csv output path) byte-for-byte untouched. *)
+let check_resume_refused ~field cfg =
+  let path = temp_path ".other.journal" in
+  let j = Journal.create ~path () in
+  let (_ : Campaign.outcome) =
+    Campaign.run ~journal:j (noisy_cfg ~programs:3 ~tests:2 ())
+  in
+  Journal.close j;
+  let before = read_file path in
+  let touched = ref 0 in
+  let out = Journal.create ~path () in
+  (match
+     Campaign.run
+       ~on_event:(fun _ -> incr touched)
+       ~on_record:(fun _ -> incr touched)
+       ~journal:out ~resume:path cfg
+   with
+  | _ -> Alcotest.fail "resume of another campaign's journal succeeded"
+  | exception Campaign.Resume_mismatch msg ->
+    Alcotest.(check bool)
+      (Printf.sprintf "%S names %s" msg field)
+      true
+      (String.starts_with ~prefix:(field ^ " ") msg));
+  Journal.close out;
+  Alcotest.(check Alcotest.int) "nothing merged or printed" 0 !touched;
+  Alcotest.(check string) "journal untouched" before (read_file path)
+
+let test_resume_refuses_other_campaign () =
+  check_resume_refused ~field:"campaign"
+    (Campaign.make ~name:"other" ~template:(Templates.by_name "A")
+       ~setup:(Refinement.mct_vs_mspec ()) ~programs:3 ~tests_per_program:2
+       ~seed:2021L ())
+
+let test_resume_refuses_other_isa () =
+  check_resume_refused ~field:"isa"
+    (Campaign.make ~name:"noisy" ~isa:Scamv_arch.Isa.Riscv
+       ~template:(Templates.by_name ~isa:Scamv_arch.Isa.Riscv "A")
+       ~setup:(Refinement.mct_vs_mspec ()) ~programs:3 ~tests_per_program:2
+       ~seed:2021L ())
+
+let test_resume_refuses_fewer_programs () =
+  check_resume_refused ~field:"program index" (noisy_cfg ~programs:2 ~tests:2 ())
+
 let () =
   Alcotest.run "scamv_journal"
     [
@@ -529,7 +677,7 @@ let () =
           Alcotest.test_case "round-trip plain" `Quick test_roundtrip_plain;
           Alcotest.test_case "round-trip quoting" `Quick test_roundtrip_quoting;
           Alcotest.test_case "round-trip fault events" `Quick test_roundtrip_fault_events;
-          Alcotest.test_case "rejects garbage" `Quick test_of_csv_rejects_garbage;
+          Alcotest.test_case "rejects garbage" `Quick test_of_string_rejects_garbage;
           Alcotest.test_case "incremental persistence" `Quick test_incremental_persistence;
         ] );
       ( "journal-v2",
@@ -580,5 +728,13 @@ let () =
             test_campaign_resume_recovers_damaged_tail;
           Alcotest.test_case "resume from missing file" `Quick
             test_campaign_resume_from_missing_file_is_fresh_run;
+          Alcotest.test_case "resume progress lines match uninterrupted" `Quick
+            test_campaign_resume_progress_lines;
+          Alcotest.test_case "resume refuses another campaign" `Quick
+            test_resume_refuses_other_campaign;
+          Alcotest.test_case "resume refuses another isa" `Quick
+            test_resume_refuses_other_isa;
+          Alcotest.test_case "resume refuses programs beyond -p" `Quick
+            test_resume_refuses_fewer_programs;
         ] );
     ]

@@ -128,7 +128,7 @@ let test_campaign_portfolio_identity () =
     in
     let journal = Scamv.Journal.create () in
     let outcome = Campaign.run ~journal ~jobs cfg in
-    ( Scamv.Journal.to_csv journal,
+    ( Scamv.Journal.to_string journal,
       Format.asprintf "%a" Stats.pp outcome.Campaign.stats )
   in
   let reference = run ~portfolio:1 ~jobs:1 in

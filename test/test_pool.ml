@@ -24,43 +24,63 @@ let temp_path name =
 
 (* ---- pool ---- *)
 
+(* [consume] for batches that expect no failure: re-raise a worker's
+   exception at its index. *)
+let ok_or_reraise f i = function
+  | Ok v -> f i v
+  | Error { Pool.exn; backtrace } -> Printexc.raise_with_backtrace exn backtrace
+
+(* Every [worker i] result for [0..n-1], in index order. *)
+let collect ~jobs f n =
+  let results = ref [] in
+  Pool.run_supervised ~jobs ~tasks:n ~worker:f
+    ~consume:(ok_or_reraise (fun _ v -> results := v :: !results))
+    ();
+  List.rev !results
+
 let test_pool_ordering_adversarial () =
   (* Workers finish in roughly reverse index order (later items are much
      faster), yet the consumer must still see results in index order. *)
   let tasks = 12 in
   let order = ref [] in
-  Pool.run_ordered ~jobs:4 ~tasks
+  Pool.run_supervised ~jobs:4 ~tasks
     ~worker:(fun i ->
       Unix.sleepf (0.002 *. float_of_int (tasks - i));
       i * i)
-    ~consume:(fun i v -> order := (i, v) :: !order);
+    ~consume:(ok_or_reraise (fun i v -> order := (i, v) :: !order))
+    ();
   let expected = List.init tasks (fun i -> (i, i * i)) in
   Alcotest.(check bool) "consumed in index order" true (List.rev !order = expected)
 
 let test_pool_sequential_matches_parallel () =
   let f i = (i * 37) lxor (i lsl 3) in
-  Alcotest.(check bool)
-    "map jobs=1 = jobs=4" true
-    (Pool.map ~jobs:1 f 50 = Pool.map ~jobs:4 f 50);
-  Alcotest.(check bool)
-    "map_list" true
-    (Pool.map_list ~jobs:3 String.uppercase_ascii [ "a"; "b"; "c" ]
-    = [ "A"; "B"; "C" ])
+  let sequential = List.init 50 f in
+  Alcotest.(check bool) "run_supervised jobs=1" true (collect ~jobs:1 f 50 = sequential);
+  Alcotest.(check bool) "run_supervised jobs=4" true (collect ~jobs:4 f 50 = sequential);
+  let pool = Pool.create ~size:3 in
+  let results = ref [] in
+  Pool.exec pool ~tasks:50 ~worker:f
+    ~consume:(ok_or_reraise (fun _ v -> results := v :: !results))
+    ();
+  Pool.shutdown pool;
+  Alcotest.(check bool) "exec on a 3-domain pool" true (List.rev !results = sequential)
 
 exception Boom of int
 
 let test_pool_worker_exception () =
-  (* An exception in one worker is re-raised at its index position after
-     all earlier items were consumed, and the pool shuts down cleanly
-     instead of wedging (this test completing at all checks the latter). *)
+  (* A consumer that re-raises a worker's exception does so at the
+     item's index position, after all earlier items were consumed, and
+     the pool shuts down cleanly instead of wedging (this test completing
+     at all checks the latter). *)
   let consumed = ref [] in
   let raised =
     try
-      Pool.run_ordered ~jobs:4 ~tasks:10
+      Pool.run_supervised ~jobs:4 ~tasks:10
         ~worker:(fun i ->
           if i = 5 then raise (Boom i);
           i)
-        ~consume:(fun i _ -> consumed := i :: !consumed);
+        ~consume:(ok_or_reraise (fun i _ -> consumed := i :: !consumed))
+        ();
       None
     with Boom i -> Some i
   in
@@ -70,9 +90,10 @@ let test_pool_worker_exception () =
     (List.rev !consumed)
 
 let test_pool_zero_tasks_and_resolve () =
-  Pool.run_ordered ~jobs:4 ~tasks:0
+  Pool.run_supervised ~jobs:4 ~tasks:0
     ~worker:(fun _ -> Alcotest.fail "no worker should run")
-    ~consume:(fun _ _ -> Alcotest.fail "nothing to consume");
+    ~consume:(fun _ _ -> Alcotest.fail "nothing to consume")
+    ();
   Alcotest.(check bool) "0 resolves to all cores" true (Pool.resolve_jobs 0 >= 1);
   Alcotest.(check Alcotest.int) "positive passes through" 3 (Pool.resolve_jobs 3);
   Alcotest.check_raises "negative rejected"
@@ -149,8 +170,8 @@ let test_supervised_nonfatal_keeps_domain () =
   Alcotest.(check Alcotest.int) "no restarts (default fatal)" 0 !restarts
 
 let test_supervised_backtrace_preserved () =
-  (* run_ordered re-raises worker failures with the original backtrace;
-     the Error cell carries it for callers that want to log it. *)
+  (* The Error cell carries the worker's backtrace, for consumers that
+     re-raise (Printexc.raise_with_backtrace) or log it. *)
   let saw_backtrace = ref false in
   Pool.run_supervised ~jobs:1 ~tasks:1
     ~worker:(fun _ -> raise (Crash 0))
@@ -298,15 +319,18 @@ let test_slice_widths_partition () =
       ignore (Pool.slice_widths ~total:4 ~slices:0))
 
 let test_sliced_pool_independent_batches () =
-  (* Each slice is a full persistent pool: index-ordered batches run on
-     different slices concurrently without interleaving results. *)
-  let sl = Pool.create_sliced ~total:4 ~slices:2 in
-  Alcotest.(check Alcotest.int) "slices" 2 (Pool.slice_count sl);
-  Alcotest.(check Alcotest.int) "slice 0 width" 2 (Pool.slice_width sl 0);
-  Alcotest.(check Alcotest.int) "slice 1 width" 2 (Pool.slice_width sl 1);
+  (* Each slice is a full persistent pool (as the service's scheduler
+     builds them): index-ordered batches run on different slices
+     concurrently without interleaving results. *)
+  let sl =
+    Array.map (fun size -> Pool.create ~size) (Pool.slice_widths ~total:4 ~slices:2)
+  in
+  Alcotest.(check Alcotest.int) "slices" 2 (Array.length sl);
+  Alcotest.(check Alcotest.int) "slice 0 width" 2 (Pool.size sl.(0));
+  Alcotest.(check Alcotest.int) "slice 1 width" 2 (Pool.size sl.(1));
   let run slot =
     let consumed = ref [] in
-    Pool.exec (Pool.slice sl slot) ~tasks:6
+    Pool.exec sl.(slot) ~tasks:6
       ~worker:(fun i -> (slot * 100) + i)
       ~consume:(fun i r ->
         match r with
@@ -328,11 +352,11 @@ let test_sliced_pool_independent_batches () =
       true
       (results.(slot) = expected)
   done;
-  Pool.shutdown_sliced sl;
+  Array.iter Pool.shutdown sl;
   (* idempotent, and every slice now rejects work *)
-  Pool.shutdown_sliced sl;
+  Array.iter Pool.shutdown sl;
   match
-    Pool.exec (Pool.slice sl 0) ~tasks:1 ~worker:(fun i -> i)
+    Pool.exec sl.(0) ~tasks:1 ~worker:(fun i -> i)
       ~consume:(fun _ _ -> ())
       ()
   with

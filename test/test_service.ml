@@ -664,6 +664,35 @@ let test_server_backpressure_503 () =
           (* unblock the parked worker so stop is prompt *)
           ignore (Scheduler.cancel sched s)))
 
+(* ---- the CLI resolves names through the same catalogue ---- *)
+
+(* Run the built CLI (a test dependency) and return its stdout and exit
+   status; stderr is discarded. *)
+let run_cli args =
+  let ic =
+    Unix.open_process_args_in "../bin/scamv_cli.exe"
+      (Array.of_list ("scamv_cli.exe" :: args))
+  in
+  let out = In_channel.input_all ic in
+  (out, Unix.close_process_in ic)
+
+let test_cli_setups_are_the_catalogue () =
+  let out, status = run_cli [ "models" ] in
+  Alcotest.(check bool) "models exits 0" true (status = Unix.WEXITED 0);
+  let rec after_heading = function
+    | [] -> []
+    | "Validation setups (--setup):" :: rest -> rest
+    | _ :: rest -> after_heading rest
+  in
+  let listed =
+    String.split_on_char '\n' out |> after_heading
+    |> List.filter (fun l -> l <> "")
+    |> List.map String.trim
+  in
+  Alcotest.(check (list string)) "setup list" Workload.setup_names listed;
+  let _, status = run_cli [ "show"; "--setup"; "no-such-setup" ] in
+  Alcotest.(check bool) "unknown setup rejected" true (status <> Unix.WEXITED 0)
+
 let () =
   Alcotest.run "scamv_service"
     [
@@ -676,6 +705,11 @@ let () =
           Alcotest.test_case "pipelined bytes survive between requests" `Quick
             test_http_pipelined_requests_share_reader;
           Alcotest.test_case "keep-alive intent" `Quick test_http_keep_alive_intent;
+        ] );
+      ( "workload",
+        [
+          Alcotest.test_case "cli setup list is the catalogue" `Quick
+            test_cli_setups_are_the_catalogue;
         ] );
       ( "router",
         [ Alcotest.test_case "dispatch/405/404" `Quick test_router_dispatch ] );
